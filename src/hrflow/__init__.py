@@ -11,7 +11,6 @@ from .classify import (
     RegimeLabel,
     SingularType,
     classify_trajectory,
-    estimate_singular_time,
     predicted_report,
     regime_of,
 )

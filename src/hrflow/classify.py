@@ -6,7 +6,8 @@ constant term) and d, e, f (maximal by root count).  A behaviour
 report is then extracted from integrated forward and backward trajectories:
 collapse mode, singularity type by boundedness of (T - t) * kappa, ancient
 existence and type by the growth of |t| * kappa, and the limiting
-directions at both ends.
+directions at both ends.  Only the case label of the Einstein set and,
+for the name of a whole-space collapse, the isotropy kind are consulted.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from .errors import (
     NotCollapsed,
     OnEinsteinRoot,
 )
-from .flow import Direction, Termination, Trajectory
-from .spaces import Coefficients, MaxCoeffs, NonMaxCoeffs
+from .flow import SIMULTANEOUS_FACTOR, Direction, Termination, Trajectory
+from .spaces import Coefficients
 
 #: y0 closer than this to a root is a fixed direction, not a regime member
 ROOT_NEIGHBOURHOOD = 1e-9
@@ -92,44 +93,35 @@ class BehaviorReport:
 
 def regime_of(coeffs: Coefficients, einstein: EinsteinSet,
               critical: CriticalDirections | None, y0: float) -> RegimeLabel:
-    """Pure interval classification of y0 against the sorted roots."""
+    """Pure interval classification of y0 against the sorted roots.
+
+    The case label of ``einstein`` carries everything needed; ``coeffs``
+    and ``critical`` are accepted so that positional callers keep working.
+    """
     if y0 <= 0:
         raise ValueError(f"y0 must be positive, got {y0}")
     hit = einstein.on_root(y0, ROOT_NEIGHBOURHOOD)
     if hit is not None:
         raise OnEinsteinRoot(f"y0 = {y0} sits on the fixed direction {hit}")
 
-    if isinstance(coeffs, NonMaxCoeffs):
-        if einstein.case_label == "C0":
-            ybar = einstein.values[0]
-            return RegimeLabel("C0", "below" if y0 < ybar else "above")
-        if einstein.case_label == "c":
-            return RegimeLabel("c")
-        if einstein.case_label == "b":
-            ybar = einstein.values[0]
-            return RegimeLabel("b", 1 if y0 < ybar else 2)
-        y1, y2 = einstein.values
-        if y0 < y1:
-            return RegimeLabel("a", 1)
-        return RegimeLabel("a", 2 if y0 < y2 else 3)
+    family = einstein.case_label
+    if family in ("c", "f"):
+        return RegimeLabel(family)
+    # 1-based index of the interval between sorted roots that holds y0
+    sub = 1 + sum(r <= y0 for r in einstein.values)
+    if family == "C0":
+        return RegimeLabel("C0", "below" if sub == 1 else "above")
+    if family == "e":
+        single_below = einstein.roots[0][1] == 1
+        return RegimeLabel("e", sub if single_below else sub + 3,
+                           single_below_double=single_below)
+    return RegimeLabel(family, sub)
 
-    if einstein.case_label == "f":
-        return RegimeLabel("f")
-    if einstein.case_label == "d":
-        y1, y2, y3 = einstein.values
-        if y0 < y1:
-            return RegimeLabel("d", 1)
-        if y0 < y2:
-            return RegimeLabel("d", 2)
-        return RegimeLabel("d", 3 if y0 < y3 else 4)
-    # case e: one simple, one double root
-    (r_lo, m_lo), (r_hi, m_hi) = einstein.roots
-    single_below = m_lo == 1
-    if single_below:
-        sub = 1 if y0 < r_lo else (2 if y0 < r_hi else 3)
-    else:
-        sub = 4 if y0 < r_lo else (5 if y0 < r_hi else 6)
-    return RegimeLabel("e", sub, single_below_double=single_below)
+
+def _shrink_outcome(coeffs: Coefficients) -> Outcome:
+    """Name of a collapse of the whole space, which differs by kind."""
+    return (Outcome.SIMULTANEOUS_COLLAPSE if coeffs.planar.maximal
+            else Outcome.SHRINK_TO_POINT)
 
 
 @dataclass(frozen=True)
@@ -146,9 +138,7 @@ class Prediction:
 def predicted_report(regime: RegimeLabel, einstein: EinsteinSet,
                      coeffs: Coefficients) -> Prediction:
     """What the case analysis asserts for a regime, before any numerics."""
-    maximal = isinstance(coeffs, MaxCoeffs)
-    shrink = (Outcome.SIMULTANEOUS_COLLAPSE if maximal
-              else Outcome.SHRINK_TO_POINT)
+    shrink = _shrink_outcome(coeffs)
     t1 = SingularType.TYPE_I
     fam, sub = regime.family, regime.subcase
     if fam == "a":
@@ -221,8 +211,7 @@ def forward_outcome_of(traj: Trajectory) -> Outcome:
     """
     if not traj.termination.is_collapse:
         raise NotCollapsed(f"trajectory ended with {traj.termination.value}")
-    maximal = isinstance(traj.coeffs, MaxCoeffs)
-    both = Outcome.SIMULTANEOUS_COLLAPSE if maximal else Outcome.SHRINK_TO_POINT
+    both = _shrink_outcome(traj.coeffs)
     if traj.termination is Termination.COLLAPSE_BOTH:
         return both
     eps = traj.options.collapse_epsilon
@@ -232,10 +221,8 @@ def forward_outcome_of(traj: Trajectory) -> Outcome:
     val = float((traj.x1, traj.x2)[other][-1])
     slope = traj.final_rhs[other]
     at_T = val + slope * (T - float(traj.t[-1]))
-    if at_T > eps * traj.options.simultaneous_factor:
-        if traj.termination is Termination.COLLAPSE_X1:
-            return Outcome.FIBER_COLLAPSE
-        return Outcome.FIBER_COLLAPSE  # x2-side collapse of a backward run
+    if at_T > eps * SIMULTANEOUS_FACTOR:
+        return Outcome.FIBER_COLLAPSE
     return both
 
 
@@ -371,13 +358,3 @@ def _ancient_type(bwd: Trajectory, decades: float = 2.0,
 def _weakly_increasing(q: np.ndarray, slack: float = 0.01) -> bool:
     return bool(np.all(q[1:] >= q[:-1] * (1.0 - slack)))
 
-
-def estimate_singular_time(traj: Trajectory) -> float:
-    """Singular-time estimate by linear extrapolation at the collapse event.
-
-    The vanishing coordinate goes to zero linearly, so the event state plus
-    its exact slope pin T to second order in the collapse threshold.
-    """
-    if not traj.termination.is_collapse or traj.T_estimate is None:
-        raise NotCollapsed(f"trajectory ended with {traj.termination.value}")
-    return float(traj.T_estimate)

@@ -36,7 +36,6 @@ from .flow import (
     make_rhs,
 )
 from .spaces import (
-    MaxCoeffs,
     TwoSummandSpace,
     catalog,
     derive_coeffs,
@@ -166,7 +165,7 @@ def cmd_einstein(args) -> int:
             "has_zero_root": sz.has_zero_root,
         },
     }
-    if isinstance(c, MaxCoeffs):
+    if c.planar.maximal:
         cd = critical_directions(c)
         payload["critical_directions"] = [cd.y_tilde_1, cd.y_tilde_2]
     print(json.dumps(payload, indent=2, sort_keys=True))
@@ -229,7 +228,7 @@ def cmd_portrait(args) -> int:
     coeffs = derive_coeffs(space)
     f = make_rhs(coeffs)
     es = einstein_roots(coeffs)
-    maximal = isinstance(coeffs, MaxCoeffs)
+    maximal = coeffs.planar.maximal
     os.makedirs(args.out, exist_ok=True)
     slug = _slug(space, args)
 
@@ -243,7 +242,7 @@ def cmd_portrait(args) -> int:
         lines["critical_directions"] = [cd.y_tilde_1, cd.y_tilde_2]
         bands = (cd.y_tilde_1, cd.y_tilde_2)
     else:
-        db = float(coeffs.D) / float(coeffs.B)
+        db = coeffs.planar.b0 / coeffs.planar.b1
         lines["stationary_x2_ray"] = db
 
     from .flow import _scalar_curvature_arrays
@@ -284,7 +283,6 @@ def cmd_sweep(args) -> int:
         return EXIT_INVALID
     coeffs = derive_coeffs(space)
     es = einstein_roots(coeffs)
-    critical = critical_directions(coeffs) if isinstance(coeffs, MaxCoeffs) else None
     if args.mode == "grid":
         y0s = np.geomspace(lo, hi, args.count) if args.count > 1 else np.array([lo])
     else:
@@ -297,21 +295,23 @@ def cmd_sweep(args) -> int:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
         for i, y0 in enumerate(y0s):
-            row = _sweep_row(coeffs, es, critical, float(y0), args)
+            row = _sweep_row(coeffs, es, float(y0), args)
             fh.write(f"{i}," + row + "\n")
     print(f"sweep written to {path}")
     return EXIT_OK
 
 
-def _sweep_row(coeffs, es, critical, y0: float, args) -> str:
+def _sweep_row(coeffs, es, y0: float, args) -> str:
+    """The nine fields after the index; a fixed direction leaves all but
+    y0 and the regime empty."""
     init = MetricState(t=0.0, x1=y0, x2=1.0)
     try:
-        regime = regime_of(coeffs, es, critical, y0)
+        regime = regime_of(coeffs, es, None, y0)
     except OnEinsteinRoot:
-        return f"{_fmt(y0)},fixed,,,,,,"
+        return f"{_fmt(y0)},fixed" + "," * 7
     fwd = integrate(coeffs, init, _options_from(args, Direction.FORWARD))
     bwd = integrate(coeffs, init, _options_from(args, Direction.BACKWARD))
-    rep = classify_trajectory(fwd, bwd, coeffs, es, critical)
+    rep = classify_trajectory(fwd, bwd, coeffs, es)
     pred = predicted_report(regime, es, coeffs)
     matches = (
         rep.forward_outcome is pred.outcome

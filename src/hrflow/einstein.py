@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import roots as rt
 from .errors import NotAnEinsteinRoot
-from .spaces import Coefficients, MaxCoeffs, NonMaxCoeffs
+from .spaces import Coefficients, MaxCoeffs
 
 #: refuse root-sensitive evaluations within this distance of a root
 ROOT_EXCLUSION = 1e-9
@@ -73,13 +73,9 @@ class ScalarZeroDirections:
     has_zero_root: bool = False
 
 
-def _nonmax_poly(c: NonMaxCoeffs) -> tuple[float, float, float]:
-    return (float(c.A + c.B), -float(c.D), float(c.C))
-
-
-def quadratic_einstein_roots(c: NonMaxCoeffs) -> EinsteinSet:
+def quadratic_einstein_roots(c: Coefficients) -> EinsteinSet:
     """Positive roots of C - D*y + (A+B)*y^2 with case classification."""
-    a2, negD, C = _nonmax_poly(c)
+    a2, negD, C = poly = c.planar.homothety
     D = -negD
     if C < 1e-300:  # zero, or so small the lower root underflows
         root = D / a2
@@ -94,22 +90,18 @@ def quadratic_einstein_roots(c: NonMaxCoeffs) -> EinsteinSet:
         return EinsteinSet((), "c")
     pair = rt.quadratic_real_roots(a2, negD, C)
     polished = tuple(
-        (rt._newton_polish((a2, negD, C), r, 0.0, math.inf), 1) for r in pair
+        (rt._newton_polish(poly, r, 0.0, math.inf), 1) for r in pair
     )
     for r, _ in polished:
         if r <= 0.0:
             raise AssertionError(f"nonpositive Einstein root {r} from {c}")
-        assert rt.residual_ok((a2, negD, C), r)
+        assert rt.residual_ok(poly, r)
     return EinsteinSet(polished, "a")
 
 
-def _max_poly(c: MaxCoeffs) -> tuple[float, float, float, float]:
-    return (-float(c.B2 + c.C1), float(c.A2), -float(c.A1), float(c.B1 + c.C2))
-
-
-def cubic_einstein_roots(c: MaxCoeffs) -> EinsteinSet:
+def cubic_einstein_roots(c: Coefficients) -> EinsteinSet:
     """All (positive) roots of the maximal homothety cubic."""
-    coeffs = _max_poly(c)
+    coeffs = c.planar.homothety
     found = rt.cubic_real_roots(coeffs)
     if not found:
         raise AssertionError(f"maximal cubic lost all roots for {c}")
@@ -123,7 +115,8 @@ def cubic_einstein_roots(c: MaxCoeffs) -> EinsteinSet:
 
 
 def einstein_roots(c: Coefficients) -> EinsteinSet:
-    if isinstance(c, NonMaxCoeffs):
+    """Einstein directions: the positive zeros of f1 - y*f2."""
+    if len(c.planar.homothety) == 3:
         return quadratic_einstein_roots(c)
     return cubic_einstein_roots(c)
 
@@ -133,36 +126,29 @@ def einstein_scale_constants(c: Coefficients, root: float) -> tuple[float, float
 
     Near a shrink-to-point singularity the coefficients vanish as
     x_i(t) = k_i * (T - t); the pair is the unique positive solution of the
-    shrink-rate system with k1/k2 = root.
+    shrink-rate system with k1/k2 = root, that is k_i = -f_i(root).
     """
-    if isinstance(c, NonMaxCoeffs):
-        poly = _nonmax_poly(c)
-        if not rt.residual_ok(poly, root, rtol=1e-8):
-            raise NotAnEinsteinRoot(f"{root} fails the homothety quadratic for {c}")
-        k1 = float(c.C) + float(c.A) * root * root
-        k2 = float(c.D) - float(c.B) * root
-    else:
-        poly = _max_poly(c)
-        if not rt.residual_ok(poly, root, rtol=1e-8):
-            raise NotAnEinsteinRoot(f"{root} fails the homothety cubic for {c}")
-        k1 = float(c.A1) - float(c.B1) / root + float(c.C1) * root * root
-        k2 = float(c.A2) - float(c.B2) * root + float(c.C2) / (root * root)
+    p = c.planar
+    if not rt.residual_ok(p.homothety, root, rtol=1e-8):
+        raise NotAnEinsteinRoot(
+            f"{root} fails the homothety polynomial {p.homothety}")
+    k1 = p.a0 - p.am1 / root + p.a2 * root * root
+    k2 = p.b0 - p.b1 * root + p.bm2 / (root * root)
     if k1 <= 0.0 or k2 <= 0.0:
         raise NotAnEinsteinRoot(f"nonpositive decay slopes ({k1}, {k2}) at {root}")
     return (k1, k2)
 
 
 def critical_directions(c: MaxCoeffs) -> CriticalDirections:
-    """Positive zeros of the two per-coordinate sign cubics.
+    """Positive zeros of the sign cubics g1 = y*f1(y) and g2 = y^2*f2(y).
 
     g1(0) = B1 > 0 and g1 is strictly decreasing, g2(0) = -C2 < 0 and g2 has
     a single positive zero; every Einstein root lies strictly between them.
     """
-    A1, B1, C1 = float(c.A1), float(c.B1), float(c.C1)
-    A2, B2, C2 = float(c.A2), float(c.B2), float(c.C2)
-    g1 = (-C1, 0.0, -A1, B1)
-    y1 = rt.hybrid_root(g1, 0.0, B1 / A1 + 1e-300)
-    g2 = (B2, -A2, 0.0, -C2)
+    p = c.planar
+    g1 = (-p.a2, 0.0, -p.a0, p.am1)
+    y1 = rt.hybrid_root(g1, 0.0, p.am1 / p.a0 + 1e-300)
+    g2 = (p.b1, -p.b0, 0.0, -p.bm2)
     y2 = rt.hybrid_root(g2, 0.0, rt.root_bound(g2))
     if not y1 < y2:
         raise AssertionError(f"critical directions out of order: {y1} >= {y2}")
@@ -174,37 +160,26 @@ def critical_directions(c: MaxCoeffs) -> CriticalDirections:
 
 def scalar_zero_directions(c: Coefficients) -> ScalarZeroDirections:
     """Directions on which the scalar curvature changes sign."""
-    if isinstance(c, NonMaxCoeffs):
-        A, B, C, D = (float(c.A), float(c.B), float(c.C), float(c.D))
-        d1, d2 = c.d1, c.d2
-        if C == 0.0:
-            return ScalarZeroDirections(
-                positive_roots=(2.0 * D / B,), negative_roots=(),
-                has_zero_root=True,
-            )
-        # quadratic in y: A*d1*y^2 - D*d2*y - C*d1 = 0
-        pair = rt.quadratic_real_roots(A * d1, -D * d2, -C * d1)
-        neg, pos = pair[0], pair[1]
-        if not (neg < 0.0 < pos):
-            raise AssertionError(f"sign pattern of scalar zeros broken: {pair}")
-        if not D / B < pos:
-            raise AssertionError(
-                f"positive scalar zero {pos} below the stationary ray {D / B}"
-            )
-        return ScalarZeroDirections(positive_roots=(pos,), negative_roots=(neg,))
-    d1, d2 = c.d1, c.d2
-    coeffs = (
-        -0.25 * d2 * float(c.B2),
-        0.5 * d2 * float(c.A2),
-        0.5 * d1 * float(c.A1),
-        -0.25 * d1 * float(c.B1),
-    )
-    found = rt.cubic_real_roots(coeffs)
-    pos = tuple(r for r, _ in found if r > 0.0)
-    neg = tuple(r for r, _ in found if r < 0.0)
-    if len(pos) != 2 or len(neg) != 1:
-        raise AssertionError(
-            f"maximal scalar-zero cubic must have two positive and one "
-            f"negative root, got {found}"
+    p = c.planar
+    poly = p.scalar_zero
+    if len(poly) == 4:
+        found = [r for r, _ in rt.cubic_real_roots(poly)]
+    elif p.a0 == 0.0:
+        return ScalarZeroDirections(
+            positive_roots=(2.0 * p.b0 / p.b1,), negative_roots=(),
+            has_zero_root=True,
         )
+    else:
+        found = rt.quadratic_real_roots(*poly)
+    pos = tuple(r for r in found if r > 0.0)
+    neg = tuple(r for r in found if r < 0.0)
+    # a quadratic has one positive zero, a cubic two; each has one negative
+    if len(pos) != len(poly) - 2 or len(neg) != 1:
+        raise AssertionError(
+            f"scalar-zero polynomial {poly} must have {len(poly) - 2} "
+            f"positive and one negative root, got {found}")
+    if len(poly) == 3 and not p.b0 / p.b1 < pos[0]:
+        raise AssertionError(
+            f"positive scalar zero {pos[0]} below the stationary ray "
+            f"{p.b0 / p.b1}")
     return ScalarZeroDirections(positive_roots=pos, negative_roots=neg)

@@ -29,10 +29,6 @@ class OnEinsteinRoot(HrflowError):
     """An operation was evaluated too close to a fixed flow direction."""
 
 
-# Singular first-integral evaluation uses the same refusal condition.
-OnRoot = OnEinsteinRoot
-
-
 class BlowupDetected(HrflowError):
     """The state norm exceeded the runaway guard, signalling bad input."""
 

@@ -4,27 +4,33 @@ The flow of invariant metrics reduces to a planar system in the metric
 coefficients (x1, x2) on the two isotropy summands.  Forward integration
 runs until a coefficient reaches the collapse threshold; backward
 integration probes ancient existence by reversing the vector field.
+Both isotropy kinds run through the one planar-field form of
+``spaces.PlanarField``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from . import stepper
 from .einstein import EinsteinSet, einstein_roots
-from .errors import DomainError, NonpositiveC, OnRoot, SpaceModelError
+from .errors import DomainError, NonpositiveC, OnEinsteinRoot, SpaceModelError
 from .spaces import (
     Coefficients,
     GeneralSpace,
-    MaxCoeffs,
     NonMaxCoeffs,
+    PlanarField,
     TwoSummandSpace,
     derive_coeffs,
 )
+
+#: a collapse counts as simultaneous when the co-vanishing coordinate is
+#: within this factor of the collapse threshold at the event
+SIMULTANEOUS_FACTOR = 1e4
 
 
 class Direction(Enum):
@@ -67,28 +73,12 @@ class IntegrationOptions:
     max_time: float = 1e3
     max_steps: int = 500_000
     sample_stride: int = 1
-    # fraction of a shrinking coordinate a single step may remove; keeps the
-    # sampled tail dense in decades of the distance to the singular time
-    # (0.15 yields about fourteen samples per decade)
-    approach_factor: float = 0.15
-    # step ceiling grows with elapsed time, bounding sample spacing per decade
-    step_growth_cap: float = 0.1
-    # a collapse counts as simultaneous when the co-vanishing coordinate is
-    # within this factor of the threshold at the event
-    simultaneous_factor: float = 1e4
-    # fixed-step fourth-order fallback for regression runs when set
-    fixed_step: float | None = None
 
     def __post_init__(self):
         if not (0.0 < self.rel_tol < 1.0 and 0.0 < self.abs_tol < 1.0):
             raise ValueError("tolerances must lie in (0, 1)")
         if self.collapse_epsilon <= 0.0:
             raise ValueError("collapse_epsilon must be positive")
-
-    def reversed(self) -> "IntegrationOptions":
-        other = (Direction.BACKWARD if self.direction is Direction.FORWARD
-                 else Direction.FORWARD)
-        return replace(self, direction=other)
 
 
 @dataclass
@@ -118,10 +108,6 @@ class Trajectory:
     def state(self, idx: int) -> MetricState:
         return MetricState(float(self.t[idx]), float(self.x1[idx]),
                            float(self.x2[idx]))
-
-    @property
-    def states(self) -> list[MetricState]:
-        return [self.state(i) for i in range(self.n_samples)]
 
     @property
     def final_state(self) -> MetricState:
@@ -183,34 +169,24 @@ def rhs_general(x, space: GeneralSpace):
     return tuple(out)
 
 
-def make_rhs(c: Coefficients):
-    """Closure (x1, x2) -> (x1', x2') for the planar system."""
-    if isinstance(c, NonMaxCoeffs):
-        A, B, C, D = float(c.A), float(c.B), float(c.C), float(c.D)
+def make_rhs(c: Coefficients | PlanarField):
+    """Closure (x1, x2) -> (x1', x2') for the planar system of a coefficient
+    record or of a planar field."""
+    p = c.planar
+    na0, am1, a2 = -p.a0, p.am1, p.a2
+    nb0, b1, bm2 = -p.b0, p.b1, p.bm2
 
-        def f(x1: float, x2: float):
-            y = x1 / x2
-            return (-C - A * y * y, -D + B * y)
-
-        return f
-    A1, B1, C1 = float(c.A1), float(c.B1), float(c.C1)
-    A2, B2, C2 = float(c.A2), float(c.B2), float(c.C2)
-
-    def g(x1: float, x2: float):
+    def f(x1: float, x2: float):
         y = x1 / x2
-        return (-A1 + B1 / y - C1 * y * y, -A2 + B2 * y - C2 / (y * y))
+        return (na0 + am1 / y - a2 * y * y, nb0 + b1 * y - bm2 / (y * y))
 
-    return g
+    return f
 
 
 def rhs_two(state: MetricState, c: Coefficients) -> tuple[float, float]:
     """Planar vector field at a state; the two kinds share the signature."""
-    if isinstance(c, NonMaxCoeffs):
-        if state.x2 <= 0:
-            raise DomainError(f"x2 must be positive: {state}")
-    else:
-        if state.x1 <= 0 or state.x2 <= 0:
-            raise DomainError(f"coefficients must be positive: {state}")
+    if state.x1 <= 0 or state.x2 <= 0:
+        raise DomainError(f"coefficients must be positive: {state}")
     return make_rhs(c)(state.x1, state.x2)
 
 
@@ -223,14 +199,14 @@ def scalar_curvature(state: MetricState, c: Coefficients) -> float:
 
 
 def _scalar_curvature_arrays(x1, x2, c: Coefficients):
-    if isinstance(c, NonMaxCoeffs):
-        A, B, C, D = float(c.A), float(c.B), float(c.C), float(c.D)
-        y = x1 / x2
-        return (C * c.d1 / 2 + D * c.d2 / 2 * y - A * c.d1 / 2 * y * y) / x1
-    A1, B1 = float(c.A1), float(c.B1)
-    A2, B2 = float(c.A2), float(c.B2)
-    return (A1 * c.d1 / (2 * x1) + c.d2 * A2 / (2 * x2)
-            - c.d1 / 4 * B1 * x2 / (x1 * x1) - c.d2 / 4 * B2 * x1 / (x2 * x2))
+    p = c.planar
+    if p.maximal:
+        return (p.a0 * p.d1 / (2 * x1) + p.d2 * p.b0 / (2 * x2)
+                - p.d1 / 4 * p.am1 * x2 / (x1 * x1)
+                - p.d2 / 4 * p.b1 * x1 / (x2 * x2))
+    y = x1 / x2
+    return (p.a0 * p.d1 / 2 + p.b0 * p.d2 / 2 * y
+            - p.a2 * p.d1 / 2 * y * y) / x1
 
 
 def curvature_proxy(state: MetricState, c: Coefficients) -> float:
@@ -246,7 +222,7 @@ def curvature_proxy(state: MetricState, c: Coefficients) -> float:
 
 
 def _kappa_arrays(x1, x2, c: Coefficients):
-    w2 = 1.0 if isinstance(c, MaxCoeffs) else 0.0
+    w2 = 1.0 if c.planar.maximal else 0.0
     return 1.0 / x1 + 1.0 / x2 + x1 / (x2 * x2) + w2 * x2 / (x1 * x1)
 
 
@@ -263,7 +239,7 @@ def first_integral(state: MetricState, c: NonMaxCoeffs,
     (1/x2) * exp(-(D - y) / ((A+B)(y - ybar))) * |y - ybar|^(-1/(A+B)).
     Returns None when no positive direction pair exists.
     """
-    if not isinstance(c, NonMaxCoeffs):
+    if c.planar.maximal:
         raise SpaceModelError("first integrals exist only for the non-maximal kind")
     if es is None:
         es = einstein_roots(c)
@@ -271,7 +247,8 @@ def first_integral(state: MetricState, c: NonMaxCoeffs,
         return None
     hit = es.on_root(state.y)
     if hit is not None:
-        raise OnRoot(f"y = {state.y} is within tolerance of the root {hit}")
+        raise OnEinsteinRoot(
+            f"y = {state.y} is within tolerance of the root {hit}")
     val = _first_integral_arrays(
         np.asarray(state.x2, dtype=float), np.asarray(state.y, dtype=float),
         c, es)
@@ -279,7 +256,8 @@ def first_integral(state: MetricState, c: NonMaxCoeffs,
 
 
 def _first_integral_arrays(x2, y, c: NonMaxCoeffs, es: EinsteinSet):
-    A, B, D = float(c.A), float(c.B), float(c.D)
+    p = c.planar
+    A, B, D = p.a2, p.b1, p.b0
     s = A + B
     if es.case_label == "a":
         y1, y2 = es.values
@@ -299,7 +277,7 @@ def _first_integral_arrays(x2, y, c: NonMaxCoeffs, es: EinsteinSet):
 
 
 def as_coefficients(model) -> Coefficients:
-    if isinstance(model, (NonMaxCoeffs, MaxCoeffs)):
+    if isinstance(model, Coefficients):
         return model
     if isinstance(model, TwoSummandSpace):
         return derive_coeffs(model)
@@ -313,11 +291,11 @@ def integrate(model, init: MetricState,
               opts: IntegrationOptions | None = None) -> Trajectory:
     """Integrate the planar flow from init until collapse, horizon or budget.
 
-    Backward runs integrate the reversed field in the elapsed variable and
-    report decreasing time stamps.  Collapse events are localised to within
-    1e-10 in time; for collapse endings the singular-time estimate comes
-    from linear extrapolation of the vanishing coordinate, which vanishes
-    linearly along these flows.
+    Backward runs integrate the time-reversed field in the elapsed
+    variable and report decreasing time stamps.  Collapse events are
+    localised to within 1e-10 in time; for collapse endings the
+    singular-time estimate comes from linear extrapolation of the vanishing
+    coordinate, which vanishes linearly along these flows.
     """
     opts = opts or IntegrationOptions()
     c = as_coefficients(model)
@@ -325,21 +303,13 @@ def integrate(model, init: MetricState,
     if min(init.x1, init.x2) <= eps:
         raise DomainError(
             f"initial state {init} is already at the collapse threshold {eps}")
-    fwd = make_rhs(c)
     backward = opts.direction is Direction.BACKWARD
-    if backward:
-        def f(x1, x2):
-            d1, d2 = fwd(x1, x2)
-            return (-d1, -d2)
-    else:
-        f = fwd
+    f = make_rhs(c.planar.time_reversed() if backward else c)
 
     raw = stepper.run_adaptive(
         f, (init.x1, init.x2), opts.max_time,
         rtol=opts.rel_tol, atol=opts.abs_tol, eps=eps,
-        max_steps=opts.max_steps, approach_factor=opts.approach_factor,
-        step_growth_cap=opts.step_growth_cap, stride=opts.sample_stride,
-        fixed_step=opts.fixed_step,
+        max_steps=opts.max_steps, stride=opts.sample_stride,
     )
 
     sgn = -1.0 if backward else 1.0
@@ -349,10 +319,10 @@ def integrate(model, init: MetricState,
     t = init.t + sgn * s
     y = x1 / x2
 
-    termination, t_est = _terminal_info(raw, c, opts, init.t, sgn)
+    termination, t_est = _terminal_info(raw, opts, init.t, sgn)
     es = einstein_roots(c)
     lam = np.full_like(x1, np.nan)
-    if isinstance(c, NonMaxCoeffs) and es.case_label in ("a", "b"):
+    if es.case_label in ("a", "b"):
         guard = np.ones_like(y, dtype=bool)
         for r, _ in es.roots:
             guard &= np.abs(y - r) > 1e-9 * (1.0 + abs(r))
@@ -375,15 +345,15 @@ def integrate(model, init: MetricState,
     )
 
 
-def _terminal_info(raw: stepper.RawRun, c: Coefficients,
-                   opts: IntegrationOptions, t0: float, sgn: float):
+def _terminal_info(raw: stepper.RawRun, opts: IntegrationOptions,
+                   t0: float, sgn: float):
     if raw.status == "horizon":
         return Termination.HORIZON_REACHED, None
     if raw.status == "step_limit":
         return Termination.STEP_LIMIT, None
     eps = opts.collapse_epsilon
     u = (raw.x1[-1], raw.x2[-1])
-    near = eps * opts.simultaneous_factor
+    near = eps * SIMULTANEOUS_FACTOR
     crossed = raw.event_coord if raw.event_coord is not None else (
         0 if u[0] <= u[1] else 1)
     if u[1 - crossed] <= near:

@@ -10,8 +10,8 @@ balance relation
 Two-summand tables split by the vanishing pattern of [112]: if [112] = 0 an
 intermediate subalgebra exists (non-maximal isotropy), otherwise the isotropy
 group is maximal and both [112] and [122] are positive.  The derived flow
-coefficients of both kinds are produced here and consumed by every other
-module.
+coefficients of both kinds are produced here, together with the planar-field
+form they share, which every other module consumes.
 
 Entries may be ints, floats or fractions.Fraction; derivations preserve
 exact arithmetic when the table is exact.
@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import KindMismatch, PositivityViolation, SpaceModelError
 
@@ -112,6 +113,49 @@ class TwoSummandSpace(GeneralSpace):
 
 
 @dataclass(frozen=True)
+class PlanarField:
+    """The planar system of both isotropy kinds, in floating point.
+
+    With y = x1/x2 the flow is
+
+        x1' = f1(y) = -a0 + am1/y - a2*y^2,
+        x2' = f2(y) = -b0 + b1*y - bm2/y^2,
+
+    where the non-maximal kind has am1 = bm2 = 0.  ``homothety`` and
+    ``scalar_zero`` hold, highest degree first, the polynomials whose roots
+    are the Einstein directions (the zeros of f1 - y*f2) and the rays of
+    vanishing scalar curvature; a quadratic in the non-maximal kind and a
+    cubic in the maximal one.  ``maximal`` is read only where the kinds
+    differ in wording or in curvature weights.
+    """
+
+    maximal: bool
+    a0: float
+    am1: float
+    a2: float
+    b0: float
+    b1: float
+    bm2: float
+    d1: int
+    d2: int
+    homothety: tuple[float, ...]
+    scalar_zero: tuple[float, ...]
+
+    @property
+    def planar(self) -> "PlanarField":
+        """A field is its own planar form, so it can stand in for the
+        coefficient records, e.g. time-reversed in ``flow.make_rhs``."""
+        return self
+
+    def time_reversed(self) -> "PlanarField":
+        """The same system in the reversed time s = -t: every field term
+        changes sign (exactly, in IEEE arithmetic); the polynomials and
+        therefore the Einstein directions are unchanged."""
+        return replace(self, a0=-self.a0, am1=-self.am1, a2=-self.a2,
+                       b0=-self.b0, b1=-self.b1, bm2=-self.bm2)
+
+
+@dataclass(frozen=True)
 class NonMaxCoeffs:
     """Flow coefficients when an intermediate subalgebra exists.
 
@@ -141,6 +185,18 @@ class NonMaxCoeffs:
     @property
     def kind(self) -> Kind:
         return Kind.NON_MAXIMAL
+
+    @cached_property
+    def planar(self) -> PlanarField:
+        A, B, C, D = float(self.A), float(self.B), float(self.C), float(self.D)
+        d1, d2 = self.d1, self.d2
+        return PlanarField(
+            maximal=False, a0=C, am1=0.0, a2=A, b0=D, b1=B, bm2=0.0,
+            d1=d1, d2=d2,
+            # C - D*y + (A+B)*y^2, with A+B summed exactly
+            homothety=(float(self.A + self.B), -D, C),
+            scalar_zero=(A * d1, -D * d2, -C * d1),
+        )
 
 
 @dataclass(frozen=True)
@@ -176,6 +232,21 @@ class MaxCoeffs:
     @property
     def kind(self) -> Kind:
         return Kind.MAXIMAL
+
+    @cached_property
+    def planar(self) -> PlanarField:
+        A1, B1, C1 = float(self.A1), float(self.B1), float(self.C1)
+        A2, B2, C2 = float(self.A2), float(self.B2), float(self.C2)
+        d1, d2 = self.d1, self.d2
+        return PlanarField(
+            maximal=True, a0=A1, am1=B1, a2=C1, b0=A2, b1=B2, bm2=C2,
+            d1=d1, d2=d2,
+            # -(B2+C1)*y^3 + A2*y^2 - A1*y + (B1+C2), sums taken exactly
+            homothety=(-float(self.B2 + self.C1), A2, -A1,
+                       float(self.B1 + self.C2)),
+            scalar_zero=(-0.25 * d2 * B2, 0.5 * d2 * A2, 0.5 * d1 * A1,
+                         -0.25 * d1 * B1),
+        )
 
 
 Coefficients = NonMaxCoeffs | MaxCoeffs

@@ -130,32 +130,29 @@ def test_forward_outcome_requires_collapse(fix_a):
         forward_outcome_of(bwd)
 
 
-# --- estimate_singular_time ---------------------------------------------------
+# --- singular-time estimate -------------------------------------------------
 
 
 def test_estimate_bounded_by_linear_decay(su42):
     traj = h.integrate(su42, MetricState(0.0, 1.0, 1.0))
-    T = h.estimate_singular_time(traj)
-    assert T <= 1.0 / float(su42.C) + 1e-9
+    assert traj.T_estimate <= 1.0 / float(su42.C) + 1e-9
 
 
 def test_estimate_exact_on_fixed_direction(fix_a):
     traj = h.integrate(fix_a, MetricState(0.0, 2.0, 2.0))
-    assert h.estimate_singular_time(traj) == pytest.approx(1.0, abs=1e-9)
+    assert traj.T_estimate == pytest.approx(1.0, abs=1e-9)
 
 
 def test_estimate_step_halving(fix_d):
     a = h.integrate(fix_d, MetricState(0.0, 0.75, 1.0))
     opts = IntegrationOptions(rel_tol=5e-11, abs_tol=5e-15)
     b = h.integrate(fix_d, MetricState(0.0, 0.75, 1.0), opts)
-    assert h.estimate_singular_time(a) == pytest.approx(
-        h.estimate_singular_time(b), rel=1e-6)
+    assert a.T_estimate == pytest.approx(b.T_estimate, rel=1e-6)
 
 
 def test_estimate_rejects_horizon_runs(fix_a):
     traj = h.integrate(fix_a, MetricState(0.0, 0.75, 1.0), BWD)
-    with pytest.raises(NotCollapsed):
-        h.estimate_singular_time(traj)
+    assert traj.T_estimate is None
 
 
 # --- scalar curvature sign and type I rate ------------------------------------

@@ -143,6 +143,19 @@ def test_sweep_single_row_matches_flow(tmp_path):
     assert cells[2] == "a2" and cells[3] == "ShrinkToPoint"
 
 
+def test_sweep_fixed_direction_rows_are_full(tmp_path):
+    # both grid points of FIX-A are Einstein directions
+    code = run_cli("sweep", "--space", "FIX-A", "--y0-range", "0.5,1",
+                   "--count", "2", "--out", str(tmp_path))
+    assert code == 0
+    rows = (tmp_path / "FIX-A_sweep.csv").read_text().splitlines()
+    assert len(rows) == 3
+    n_fields = len(rows[0].split(","))
+    for row in rows[1:]:
+        assert row.split(",")[2] == "fixed"
+        assert len(row.split(",")) == n_fields
+
+
 def test_flow_undetermined_exit_code(tmp_path):
     # budget lets the forward run finish but starves the backward probe
     code = run_cli("flow", "--space", "FIX-A", "--y0", "0.75", "--backward",
