@@ -277,7 +277,6 @@ def _accelerated_limit(elapsed: np.ndarray, values: np.ndarray) -> float:
 def classify_trajectory(fwd: Trajectory, bwd: Trajectory | None,
                         coeffs: Coefficients,
                         einstein: EinsteinSet | None = None,
-                        critical: CriticalDirections | None = None,
                         ) -> BehaviorReport:
     """Assemble the behaviour report from integrated trajectories.
 
@@ -290,7 +289,7 @@ def classify_trajectory(fwd: Trajectory, bwd: Trajectory | None,
         einstein = einstein_roots(coeffs)
     y0 = float(fwd.y[0])
     try:
-        regime = regime_of(coeffs, einstein, critical, y0)
+        regime = regime_of(coeffs, einstein, None, y0)
     except OnEinsteinRoot:
         # starting on a homothety direction: not an interval case
         order = sorted(einstein.values)

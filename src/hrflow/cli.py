@@ -1,14 +1,18 @@
 """Command-line front end: space ingestion, runs, sweeps and report emission.
 
 Exit codes: 0 success, 2 validation or configuration failure, 3 undetermined
-classification, 4 file input/output failure.  All emitted files are
-plot-ready CSV or JSON with deterministic formatting; nothing is rendered.
+classification (a backward step budget that ran out, a forward run that did
+not collapse, a blow-up limit that did not settle), 4 file input/output
+failure.  Raised errors are mapped to them in ``main`` alone.  All emitted
+files are plot-ready CSV or JSON with deterministic formatting; nothing is
+rendered.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -25,8 +29,10 @@ from .einstein import (
 from .errors import (
     HrflowError,
     InsufficientHorizon,
+    NotCollapsed,
     OnEinsteinRoot,
     SpaceModelError,
+    Unclassified,
 )
 from .flow import (
     Direction,
@@ -62,18 +68,33 @@ def _resolve_space(ref: str):
     return get_space(ref)
 
 
-def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--space", required=True,
-                   help="catalog name or path to a space JSON file")
-    p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--rel-tol", type=float, default=1e-10)
-    p.add_argument("--abs-tol", type=float, default=1e-14)
-    p.add_argument("--collapse-eps", type=float, default=1e-8)
-    p.add_argument("--horizon", type=float, default=1e3)
-    p.add_argument("--max-steps", type=int, default=500_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", default="csv,json",
-                   help="comma list of output formats to write")
+def _two_summand(ref: str):
+    """The space named by ``ref`` and its derived (validated) coefficients;
+    a space with other than two isotropy summands is invalid input."""
+    space = _resolve_space(ref)
+    if not isinstance(space, TwoSummandSpace):
+        raise SpaceModelError(f"this command needs a two-summand space; "
+                              f"{space.name} has l = {space.l}")
+    return space, derive_coeffs(space)
+
+
+def _numbers(text: str, sep: str, kind, flag: str):
+    """The two numbers of a flag value ``a<sep>b``."""
+    try:
+        a, b = (kind(v) for v in text.split(sep))
+    except ValueError:
+        raise SpaceModelError(
+            f"{flag} takes two numbers a{sep}b, got {text!r}") from None
+    return a, b
+
+
+def _range(text: str, flag: str) -> tuple[float, float]:
+    """A ``lo,hi`` flag value with 0 < lo < hi < inf."""
+    lo, hi = _numbers(text, ",", float, flag)
+    if not 0.0 < lo < hi < math.inf:
+        raise SpaceModelError(
+            f"{flag} must be positive and increasing, got {text!r}")
+    return lo, hi
 
 
 def _options_from(args, direction: Direction) -> IntegrationOptions:
@@ -87,7 +108,7 @@ def _options_from(args, direction: Direction) -> IntegrationOptions:
     )
 
 
-def _initial_state(args, space) -> MetricState:
+def _initial_state(args) -> MetricState:
     if args.y0 is not None:
         if args.y0 <= 0 or args.scale <= 0:
             raise SpaceModelError("y0 and scale must be positive")
@@ -146,12 +167,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_einstein(args) -> int:
-    space = _resolve_space(args.space)
-    if not isinstance(space, TwoSummandSpace):
-        print("one-summand space: the unique direction is Einstein",
-              file=sys.stderr)
-        return EXIT_INVALID
-    c = derive_coeffs(space)
+    space, c = _two_summand(args.space)
     es = einstein_roots(c)
     sz = scalar_zero_directions(c)
     payload = {
@@ -173,37 +189,20 @@ def cmd_einstein(args) -> int:
 
 
 def cmd_flow(args) -> int:
-    space = _resolve_space(args.space)
-    if not isinstance(space, TwoSummandSpace):
-        print("flow runs need a two-summand space", file=sys.stderr)
-        return EXIT_INVALID
-    report = validate(space)
-    if not report.ok:
-        print(f"space {space.name} failed validation", file=sys.stderr)
-        return EXIT_INVALID
-    coeffs = derive_coeffs(space)
-    init = _initial_state(args, space)
-    formats = set(args.format.split(","))
+    space, coeffs = _two_summand(args.space)
+    init = _initial_state(args)
     os.makedirs(args.out, exist_ok=True)
     slug = _slug(space, args)
 
     fwd = integrate(coeffs, init, _options_from(args, Direction.FORWARD))
-    if "csv" in formats:
-        fwd.to_csv(os.path.join(args.out, f"{slug}_forward.csv"))
+    fwd.to_csv(os.path.join(args.out, f"{slug}_forward.csv"))
     bwd = None
     if args.backward:
         bwd = integrate(coeffs, init, _options_from(args, Direction.BACKWARD))
-        if "csv" in formats:
-            bwd.to_csv(os.path.join(args.out, f"{slug}_backward.csv"))
+        bwd.to_csv(os.path.join(args.out, f"{slug}_backward.csv"))
 
-    try:
-        rep = classify_trajectory(fwd, bwd, coeffs)
-    except InsufficientHorizon as exc:
-        print(f"undetermined: {exc}", file=sys.stderr)
-        return EXIT_UNDETERMINED
-    if "json" in formats:
-        _write_json(os.path.join(args.out, f"{slug}_report.json"),
-                    rep.to_dict())
+    rep = classify_trajectory(fwd, bwd, coeffs, fwd.einstein)
+    _write_json(os.path.join(args.out, f"{slug}_report.json"), rep.to_dict())
     print(f"{slug}: {rep.forward_outcome.value} ({rep.singular_type.value}), "
           f"T ~ {rep.T_estimate}, ancient = {rep.ancient_exists}")
     if rep.singular_type.value == "Undetermined":
@@ -212,20 +211,12 @@ def cmd_flow(args) -> int:
 
 
 def cmd_portrait(args) -> int:
-    space = _resolve_space(args.space)
-    if not isinstance(space, TwoSummandSpace):
-        print("portraits need a two-summand space", file=sys.stderr)
-        return EXIT_INVALID
-    try:
-        nx, ny = (int(v) for v in args.grid.lower().split("x"))
-        x1_lo, x1_hi = (float(v) for v in args.x1_range.split(","))
-        x2_lo, x2_hi = (float(v) for v in args.x2_range.split(","))
-        if min(x1_lo, x2_lo) <= 0 or nx < 2 or ny < 2:
-            raise ValueError("grid must be positive")
-    except ValueError as exc:
-        print(f"bad grid specification: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    coeffs = derive_coeffs(space)
+    space, coeffs = _two_summand(args.space)
+    nx, ny = _numbers(args.grid.lower(), "x", int, "--grid")
+    if min(nx, ny) < 2:
+        raise SpaceModelError(f"--grid needs at least 2x2, got {args.grid}")
+    x1_lo, x1_hi = _range(args.x1_range, "--x1-range")
+    x2_lo, x2_hi = _range(args.x2_range, "--x2-range")
     f = make_rhs(coeffs)
     es = einstein_roots(coeffs)
     maximal = coeffs.planar.maximal
@@ -270,18 +261,10 @@ def cmd_portrait(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    space = _resolve_space(args.space)
-    if not isinstance(space, TwoSummandSpace):
-        print("sweeps need a two-summand space", file=sys.stderr)
-        return EXIT_INVALID
+    space, coeffs = _two_summand(args.space)
     if args.count < 1:
-        print("count must be at least 1", file=sys.stderr)
-        return EXIT_INVALID
-    lo, hi = (float(v) for v in args.y0_range.split(","))
-    if lo <= 0 or hi <= lo:
-        print("y0 range must be positive and increasing", file=sys.stderr)
-        return EXIT_INVALID
-    coeffs = derive_coeffs(space)
+        raise SpaceModelError("--count must be at least 1")
+    lo, hi = _range(args.y0_range, "--y0-range")
     es = einstein_roots(coeffs)
     if args.mode == "grid":
         y0s = np.geomspace(lo, hi, args.count) if args.count > 1 else np.array([lo])
@@ -332,15 +315,10 @@ def _sweep_row(coeffs, es, y0: float, args) -> str:
 
 
 def cmd_blowup(args) -> int:
-    space = _resolve_space(args.space)
-    if not isinstance(space, TwoSummandSpace):
-        print("blow-up analysis needs a two-summand space", file=sys.stderr)
-        return EXIT_INVALID
-    coeffs = derive_coeffs(space)
-    init = _initial_state(args, space)
-    fwd = integrate(coeffs, init, _options_from(args, Direction.FORWARD))
-    es = einstein_roots(coeffs)
-    limit = soliton_limit(fwd, es)
+    space, coeffs = _two_summand(args.space)
+    fwd = integrate(coeffs, _initial_state(args),
+                    _options_from(args, Direction.FORWARD))
+    limit = soliton_limit(fwd, fwd.einstein)
     os.makedirs(args.out, exist_ok=True)
     payload = limit.to_dict() | {"space": space.name,
                                  "T_estimate": fwd.T_estimate}
@@ -353,6 +331,27 @@ def cmd_blowup(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _space_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--space", required=True,
+                   help="catalog name or path to a space JSON file")
+    p.add_argument("--out", default=".", help="output directory")
+
+
+def _integration_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--rel-tol", type=float, default=1e-10)
+    p.add_argument("--abs-tol", type=float, default=1e-14)
+    p.add_argument("--collapse-eps", type=float, default=1e-8)
+    p.add_argument("--horizon", type=float, default=1e3)
+    p.add_argument("--max-steps", type=int, default=500_000)
+
+
+def _initial_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--y0", type=float, default=None)
+    p.add_argument("--scale", type=float, default=1.0)
+    p.add_argument("--x1", type=float, default=None)
+    p.add_argument("--x2", type=float, default=None)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hrflow",
@@ -362,60 +361,55 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("catalog", help="list the built-in space fixtures")
+    def command(name, func, help_text, *flag_groups):
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
+        for add_flags in flag_groups:
+            add_flags(p)
+        return p
+
+    p = command("catalog", cmd_catalog, "list the built-in space fixtures")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_catalog)
 
-    p = sub.add_parser("validate", help="check a space table for consistency")
-    _common_flags(p)
-    p.set_defaults(func=cmd_validate)
+    command("validate", cmd_validate, "check a space table for consistency",
+            _space_flags)
+    command("einstein", cmd_einstein, "homothety directions and sign rays",
+            _space_flags)
 
-    p = sub.add_parser("einstein", help="homothety directions and sign rays")
-    _common_flags(p)
-    p.set_defaults(func=cmd_einstein)
-
-    p = sub.add_parser("flow", help="integrate one initial condition")
-    _common_flags(p)
-    p.add_argument("--y0", type=float, default=None)
-    p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--x1", type=float, default=None)
-    p.add_argument("--x2", type=float, default=None)
+    p = command("flow", cmd_flow, "integrate one initial condition",
+                _space_flags, _integration_flags, _initial_flags)
     p.add_argument("--backward", action="store_true",
                    help="also probe ancient existence")
-    p.set_defaults(func=cmd_flow)
 
-    p = sub.add_parser("portrait", help="sample the vector field on a grid")
-    _common_flags(p)
+    p = command("portrait", cmd_portrait, "sample the vector field on a grid",
+                _space_flags)
     p.add_argument("--grid", default="50x50")
     p.add_argument("--x1-range", default="0.04,2.0")
     p.add_argument("--x2-range", default="0.04,2.0")
-    p.set_defaults(func=cmd_portrait)
 
-    p = sub.add_parser("sweep", help="classify a family of initial conditions")
-    _common_flags(p)
+    p = command("sweep", cmd_sweep, "classify a family of initial conditions",
+                _space_flags, _integration_flags)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--y0-range", default="0.1,10")
     p.add_argument("--count", type=int, default=20)
     p.add_argument("--mode", choices=("grid", "random"), default="grid")
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("blowup", help="rescaled limit near the singular time")
-    _common_flags(p)
-    p.add_argument("--y0", type=float, default=None)
-    p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--x1", type=float, default=None)
-    p.add_argument("--x2", type=float, default=None)
-    p.set_defaults(func=cmd_blowup)
-
+    command("blowup", cmd_blowup, "rescaled limit near the singular time",
+            _space_flags, _integration_flags, _initial_flags)
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; the only place that maps errors to exit codes."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except OSError as exc:
         print(f"input/output failure: {exc}", file=sys.stderr)
         return EXIT_IO
+    except (InsufficientHorizon, NotCollapsed, Unclassified) as exc:
+        print(f"undetermined: {exc}", file=sys.stderr)
+        return EXIT_UNDETERMINED
     except SpaceModelError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID

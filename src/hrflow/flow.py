@@ -72,7 +72,6 @@ class IntegrationOptions:
     collapse_epsilon: float = 1e-8
     max_time: float = 1e3
     max_steps: int = 500_000
-    sample_stride: int = 1
 
     def __post_init__(self):
         if not (0.0 < self.rel_tol < 1.0 and 0.0 < self.abs_tol < 1.0):
@@ -309,7 +308,7 @@ def integrate(model, init: MetricState,
     raw = stepper.run_adaptive(
         f, (init.x1, init.x2), opts.max_time,
         rtol=opts.rel_tol, atol=opts.abs_tol, eps=eps,
-        max_steps=opts.max_steps, stride=opts.sample_stride,
+        max_steps=opts.max_steps,
     )
 
     sgn = -1.0 if backward else 1.0

@@ -66,7 +66,7 @@ class _DomainHit(Exception):
     """A stage or step endpoint left the positive cone."""
 
 
-def _stages(f, s, x1, x2, h, k1):
+def _stages(f, x1, x2, h, k1):
     k11, k12 = k1
     y1 = x1 + h * (_A21 * k11)
     y2 = x2 + h * (_A21 * k12)
@@ -142,7 +142,6 @@ def run_adaptive(
     atol: float,
     eps: float,
     max_steps: int,
-    stride: int = 1,
 ) -> RawRun:
     """Integrate u' = f(u) over s in [0, horizon] with collapse detection.
 
@@ -155,7 +154,6 @@ def run_adaptive(
     k1 = f(x1, x2)
     ss, xs1, xs2 = [0.0], [x1], [x2]
     n_steps = 0
-    n_accepted = 0
 
     def cap(h: float, u1: float, u2: float, g: tuple[float, float]) -> float:
         h = min(h, STEP_GROWTH_CAP * (1.0 + s), horizon - s)
@@ -191,7 +189,7 @@ def run_adaptive(
                           event_coord=coord)
         n_steps += 1
         try:
-            n1, n2, e1, e2, k_new = _stages(f, s, x1, x2, h, k1)
+            n1, n2, e1, e2, k_new = _stages(f, x1, x2, h, k1)
         except _DomainHit:
             h *= 0.5
             continue
@@ -217,11 +215,9 @@ def run_adaptive(
 
         s += h
         x1, x2, k1 = n1, n2, k_new
-        n_accepted += 1
-        if n_accepted % stride == 0 or s >= horizon:
-            ss.append(s)
-            xs1.append(x1)
-            xs2.append(x2)
+        ss.append(s)
+        xs1.append(x1)
+        xs2.append(x2)
         h *= min(5.0, max(0.2, 0.9 * err ** -0.2)) if err > 0.0 else 5.0
 
 

@@ -1,7 +1,10 @@
 import json
+from pathlib import Path
+
 import pytest
 
 import hrflow as h
+from hrflow import cli
 from hrflow.cli import main
 
 
@@ -110,6 +113,8 @@ def test_portrait_bad_grid(tmp_path):
                    "--out", str(tmp_path)) == 2
     assert run_cli("portrait", "--space", "SU42", "--x1-range=-1,2",
                    "--out", str(tmp_path)) == 2
+    assert run_cli("portrait", "--space", "SU42", "--x2-range", "2,0.1",
+                   "--out", str(tmp_path)) == 2
 
 
 def test_sweep_matches_predictions(tmp_path):
@@ -121,6 +126,13 @@ def test_sweep_matches_predictions(tmp_path):
     assert len(rows) == 13
     for row in rows[1:]:
         assert row.split(",")[-1] == "True"
+
+
+@pytest.mark.parametrize("y0_range", ["abc", "1", "1,2,3", "2,1", "0.1,inf"])
+def test_sweep_malformed_range_is_invalid_input(tmp_path, y0_range):
+    assert run_cli("sweep", "--space", "FIX-A", "--y0-range", y0_range,
+                   "--out", str(tmp_path)) == 2
+    assert not list(tmp_path.iterdir())
 
 
 def test_sweep_deterministic(tmp_path):
@@ -164,6 +176,31 @@ def test_flow_undetermined_exit_code(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv", [
+    # forward run stopped by the horizon before it collapsed
+    ("flow", "--space", "FIX-A", "--y0", "0.7", "--horizon", "0.01"),
+    # rescaled limit still drifting in the final decade before T
+    ("blowup", "--space", "FIX-D", "--y0", "1.1"),
+])
+def test_undetermined_runs_exit_3(tmp_path, argv):
+    assert run_cli(*argv, "--out", str(tmp_path)) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ("einstein", "--space", "FIX-A", "--horizon", "5"),
+    ("validate", "--space", "FIX-A", "--seed", "3"),
+    ("flow", "--space", "FIX-A", "--y0", "1", "--format", "csv"),
+    ("portrait", "--space", "FIX-A", "--max-steps", "10"),
+    ("sweep", "--space", "FIX-A", "--format", "csv"),
+    ("blowup", "--space", "FIX-A", "--y0", "1", "--seed", "3"),
+])
+def test_unread_flags_are_refused(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_blowup_command(tmp_path, capsys):
     code = run_cli("blowup", "--space", "SU42", "--x1", "1", "--x2", "1",
                    "--out", str(tmp_path))
@@ -189,3 +226,25 @@ def test_report_json_schema_frozen(tmp_path):
                            "forward_y_limit", "ancient_exists", "ancient_type",
                            "backward_y_limit", "T_estimate"}
     assert set(report["regime"]) == {"family", "subcase", "single_below_double"}
+
+
+def test_benchmark_tracer_patch_points_exist(monkeypatch, tmp_path):
+    # perfbench/tracing.py wraps hrflow names where the command line looks
+    # them up; a refactor that drops or binds one early breaks its trace
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    import tracing
+
+    tracer = tracing.Tracer()
+    original = cli.build_parser
+    tracer.install()
+    try:
+        assert tracer.span("cli", main, [
+            "flow", "--space", "FIX-A", "--y0", "0.75", "--backward",
+            "--out", str(tmp_path)]) == 0
+    finally:
+        tracer.uninstall()
+    assert cli.build_parser is original
+    names = {span[0] for span in tracer.spans}
+    assert {"cli", "cli.parser", "cli.csv", "spaces", "flow", "stepper",
+            "einstein", "classify"} <= names
+    assert tracer.counts["flow.rhs_evals"] > 0

@@ -338,17 +338,6 @@ def test_linear_vanishing_fit(su42, fix_d):
         assert float(rel.max()) < 0.01
 
 
-def test_sample_stride_decimates(su42):
-    dense = h.integrate(su42, MetricState(0.0, 1.0, 1.0))
-    sparse = h.integrate(su42, MetricState(0.0, 1.0, 1.0),
-                         IntegrationOptions(sample_stride=5))
-    assert sparse.n_samples < dense.n_samples
-    assert sparse.termination is dense.termination
-    # first sample and event sample survive decimation
-    assert sparse.t[0] == dense.t[0]
-    assert sparse.t[-1] == pytest.approx(dense.t[-1], abs=1e-9)
-
-
 def test_backward_time_stamps_decrease(fix_a):
     traj = h.integrate(fix_a, MetricState(0.0, 0.75, 1.0),
                        IntegrationOptions(direction=h.Direction.BACKWARD,
