@@ -362,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, func, help_text, *flag_groups):
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.set_defaults(func=func)
         for add_flags in flag_groups:
             add_flags(p)

@@ -127,12 +127,12 @@ class Trajectory:
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.CSV_HEADER + "\n")
-            lam = self.first_integral
-            for i in range(self.n_samples):
-                cells = [format(v, ".17g") for v in
-                         (self.t[i], self.x1[i], self.x2[i], self.y[i],
-                          self.R[i], self.kappa[i])]
-                cells.append("" if math.isnan(lam[i]) else format(lam[i], ".17g"))
+            for *row, lam in zip(self.t.tolist(), self.x1.tolist(),
+                                 self.x2.tolist(), self.y.tolist(),
+                                 self.R.tolist(), self.kappa.tolist(),
+                                 self.first_integral.tolist()):
+                cells = [format(v, ".17g") for v in row]
+                cells.append("" if math.isnan(lam) else format(lam, ".17g"))
                 fh.write(",".join(cells) + "\n")
 
 

@@ -2,14 +2,20 @@
 
 A Dormand-Prince 5(4) pair propagates the fifth-order solution with the
 embedded fourth-order error estimate.  The state is a pair of floats and the
-right-hand side a plain callable returning a pair, which keeps the inner
-loop cheap.
+right-hand side a plain callable returning a pair.  For a planar system the
+interpreter's overhead, not the arithmetic, sets the cost of a step, so the
+whole step (step ceiling, six stages, positivity checks, error test and
+step-size update) is written out in the one loop of ``run_adaptive``: no
+helper call, tuple or exception per stage.  Only the field itself is called.
 
 Termination events (a coordinate reaching the collapse threshold) are
 localised by bisection on a cubic Hermite interpolant of the accepted step.
 Steps that would leave the positive cone are rejected and halved, and the
 step length is capped so that a shrinking coordinate loses only a bounded
 fraction per step; that guarantees sample coverage of the vanishing tail.
+``RawRun`` counts the branches a run took: steps rejected by the error test,
+steps halved for leaving the cone, and whether it ended on a step size
+stagnated at the resolution of s.
 """
 
 from __future__ import annotations
@@ -58,55 +64,11 @@ class RawRun:
     x2: list[float]
     status: str                      # "event" | "horizon" | "step_limit"
     final_rhs: tuple[float, float]   # ds-derivative at the final state
-    n_steps: int
+    n_steps: int                     # attempted steps, rejected ones included
     event_coord: int | None = None   # 0-based coordinate that collapsed
-
-
-class _DomainHit(Exception):
-    """A stage or step endpoint left the positive cone."""
-
-
-def _stages(f, x1, x2, h, k1):
-    k11, k12 = k1
-    y1 = x1 + h * (_A21 * k11)
-    y2 = x2 + h * (_A21 * k12)
-    if y1 <= 0.0 or y2 <= 0.0:
-        raise _DomainHit
-    k21, k22 = f(y1, y2)
-
-    y1 = x1 + h * (_A31 * k11 + _A32 * k21)
-    y2 = x2 + h * (_A31 * k12 + _A32 * k22)
-    if y1 <= 0.0 or y2 <= 0.0:
-        raise _DomainHit
-    k31, k32 = f(y1, y2)
-
-    y1 = x1 + h * (_A41 * k11 + _A42 * k21 + _A43 * k31)
-    y2 = x2 + h * (_A41 * k12 + _A42 * k22 + _A43 * k32)
-    if y1 <= 0.0 or y2 <= 0.0:
-        raise _DomainHit
-    k41, k42 = f(y1, y2)
-
-    y1 = x1 + h * (_A51 * k11 + _A52 * k21 + _A53 * k31 + _A54 * k41)
-    y2 = x2 + h * (_A51 * k12 + _A52 * k22 + _A53 * k32 + _A54 * k42)
-    if y1 <= 0.0 or y2 <= 0.0:
-        raise _DomainHit
-    k51, k52 = f(y1, y2)
-
-    y1 = x1 + h * (_A61 * k11 + _A62 * k21 + _A63 * k31 + _A64 * k41 + _A65 * k51)
-    y2 = x2 + h * (_A61 * k12 + _A62 * k22 + _A63 * k32 + _A64 * k42 + _A65 * k52)
-    if y1 <= 0.0 or y2 <= 0.0:
-        raise _DomainHit
-    k61, k62 = f(y1, y2)
-
-    n1 = x1 + h * (_B1 * k11 + _B3 * k31 + _B4 * k41 + _B5 * k51 + _B6 * k61)
-    n2 = x2 + h * (_B1 * k12 + _B3 * k32 + _B4 * k42 + _B5 * k52 + _B6 * k62)
-    if n1 <= 0.0 or n2 <= 0.0:
-        raise _DomainHit
-    k71, k72 = f(n1, n2)
-
-    e1 = h * (_E1 * k11 + _E3 * k31 + _E4 * k41 + _E5 * k51 + _E6 * k61 + _E7 * k71)
-    e2 = h * (_E1 * k12 + _E3 * k32 + _E4 * k42 + _E5 * k52 + _E6 * k62 + _E7 * k72)
-    return n1, n2, e1, e2, (k71, k72)
+    n_rejected: int = 0              # steps that failed the error test
+    n_halved: int = 0                # steps halved for leaving the cone
+    stagnated: bool = False          # ended on a step at the resolution of s
 
 
 def _hermite(x0, f0, x1, f1, h, theta):
@@ -151,52 +113,117 @@ def run_adaptive(
     """
     x1, x2 = x0
     s = 0.0
-    k1 = f(x1, x2)
+    k11, k12 = f(x1, x2)
     ss, xs1, xs2 = [0.0], [x1], [x2]
-    n_steps = 0
+    n_steps = n_rejected = n_halved = 0
+    event_coord = None
+    stagnated = False
 
-    def cap(h: float, u1: float, u2: float, g: tuple[float, float]) -> float:
-        h = min(h, STEP_GROWTH_CAP * (1.0 + s), horizon - s)
-        if g[0] < 0.0:
-            h = min(h, APPROACH_FACTOR * u1 / -g[0])
-        if g[1] < 0.0:
-            h = min(h, APPROACH_FACTOR * u2 / -g[1])
-        return h
-
-    norm_f = max(abs(k1[0]), abs(k1[1]), 1e-30)
-    h = cap(0.01 * max(x1, x2, atol) / norm_f, x1, x2, k1)
+    norm_f = max(abs(k11), abs(k12), 1e-30)
+    h = 0.01 * max(x1, x2, atol) / norm_f
 
     while True:
         if n_steps >= max_steps:
-            return RawRun(ss, xs1, xs2, "step_limit", k1, n_steps)
+            status = "step_limit"
+            break
         if horizon - s <= 1e-12 * (1.0 + horizon):
-            return RawRun(ss, xs1, xs2, "horizon", k1, n_steps)
-        h = cap(h, x1, x2, k1)
+            status = "horizon"
+            break
+        # Step ceiling: growth with elapsed time, the horizon, and a bounded
+        # fraction of each shrinking coordinate.  `if c < h: h = c` is
+        # min(h, c) for every float, NaN included.
+        c = STEP_GROWTH_CAP * (1.0 + s)
+        if c < h:
+            h = c
+        c = horizon - s
+        if c < h:
+            h = c
+        if k11 < 0.0:
+            c = APPROACH_FACTOR * x1 / -k11
+            if c < h:
+                h = c
+        if k12 < 0.0:
+            c = APPROACH_FACTOR * x2 / -k12
+            if c < h:
+                h = c
         if h <= 16 * 2.3e-16 * (1.0 + s):
             # Step size stagnated at the floating-point resolution of s.
             # A coordinate racing to zero faster than linearly compresses
             # its entire terminal cascade below time representability; the
             # collapse time is then converged to machine precision and the
             # run ends here as the collapse event.
-            coord = _imminent_collapse(x1, x2, k1, s)
-            if coord is None:
-                return RawRun(ss, xs1, xs2, "step_limit", k1, n_steps)
+            stagnated = True
+            event_coord = _imminent_collapse(x1, x2, (k11, k12), s)
+            if event_coord is None:
+                status = "step_limit"
+                break
             if ss[-1] != s:
                 ss.append(s)
                 xs1.append(x1)
                 xs2.append(x2)
-            return RawRun(ss, xs1, xs2, "event", k1, n_steps,
-                          event_coord=coord)
+            status = "event"
+            break
         n_steps += 1
-        try:
-            n1, n2, e1, e2, k_new = _stages(f, x1, x2, h, k1)
-        except _DomainHit:
+
+        # Dormand-Prince stages; a stage or the step endpoint outside the
+        # positive cone halves the step and retries it.
+        y1 = x1 + h * (_A21 * k11)
+        y2 = x2 + h * (_A21 * k12)
+        if y1 <= 0.0 or y2 <= 0.0:
+            n_halved += 1
             h *= 0.5
             continue
+        k21, k22 = f(y1, y2)
+
+        y1 = x1 + h * (_A31 * k11 + _A32 * k21)
+        y2 = x2 + h * (_A31 * k12 + _A32 * k22)
+        if y1 <= 0.0 or y2 <= 0.0:
+            n_halved += 1
+            h *= 0.5
+            continue
+        k31, k32 = f(y1, y2)
+
+        y1 = x1 + h * (_A41 * k11 + _A42 * k21 + _A43 * k31)
+        y2 = x2 + h * (_A41 * k12 + _A42 * k22 + _A43 * k32)
+        if y1 <= 0.0 or y2 <= 0.0:
+            n_halved += 1
+            h *= 0.5
+            continue
+        k41, k42 = f(y1, y2)
+
+        y1 = x1 + h * (_A51 * k11 + _A52 * k21 + _A53 * k31 + _A54 * k41)
+        y2 = x2 + h * (_A51 * k12 + _A52 * k22 + _A53 * k32 + _A54 * k42)
+        if y1 <= 0.0 or y2 <= 0.0:
+            n_halved += 1
+            h *= 0.5
+            continue
+        k51, k52 = f(y1, y2)
+
+        y1 = x1 + h * (_A61 * k11 + _A62 * k21 + _A63 * k31 + _A64 * k41 + _A65 * k51)
+        y2 = x2 + h * (_A61 * k12 + _A62 * k22 + _A63 * k32 + _A64 * k42 + _A65 * k52)
+        if y1 <= 0.0 or y2 <= 0.0:
+            n_halved += 1
+            h *= 0.5
+            continue
+        k61, k62 = f(y1, y2)
+
+        n1 = x1 + h * (_B1 * k11 + _B3 * k31 + _B4 * k41 + _B5 * k51 + _B6 * k61)
+        n2 = x2 + h * (_B1 * k12 + _B3 * k32 + _B4 * k42 + _B5 * k52 + _B6 * k62)
+        if n1 <= 0.0 or n2 <= 0.0:
+            n_halved += 1
+            h *= 0.5
+            continue
+        k71, k72 = f(n1, n2)
+
+        e1 = h * (_E1 * k11 + _E3 * k31 + _E4 * k41 + _E5 * k51 + _E6 * k61 + _E7 * k71)
+        e2 = h * (_E1 * k12 + _E3 * k32 + _E4 * k42 + _E5 * k52 + _E6 * k62 + _E7 * k72)
         sc1 = atol + rtol * max(abs(x1), abs(n1))
         sc2 = atol + rtol * max(abs(x2), abs(n2))
+        # keep `** 2`: libm's pow(x, 2) and x * x differ in the last bit
+        # for some doubles, and the accepted steps would change with it
         err = math.sqrt(0.5 * ((e1 / sc1) ** 2 + (e2 / sc2) ** 2))
         if err > 1.0:
+            n_rejected += 1
             h *= max(0.2, 0.9 * err ** -0.2)
             continue
 
@@ -206,19 +233,23 @@ def run_adaptive(
             )
         if min(n1, n2) <= eps:
             s_ev, u_ev, f_ev = _locate_event(
-                f, s, (x1, x2), k1, (n1, n2), k_new, h, eps)
+                f, s, (x1, x2), (k11, k12), (n1, n2), (k71, k72), h, eps)
             ss.append(s_ev)
             xs1.append(u_ev[0])
             xs2.append(u_ev[1])
             return RawRun(ss, xs1, xs2, "event", f_ev, n_steps,
-                          event_coord=0 if u_ev[0] <= u_ev[1] else 1)
+                          0 if u_ev[0] <= u_ev[1] else 1,
+                          n_rejected, n_halved)
 
         s += h
-        x1, x2, k1 = n1, n2, k_new
+        x1, x2, k11, k12 = n1, n2, k71, k72
         ss.append(s)
         xs1.append(x1)
         xs2.append(x2)
         h *= min(5.0, max(0.2, 0.9 * err ** -0.2)) if err > 0.0 else 5.0
+
+    return RawRun(ss, xs1, xs2, status, (k11, k12), n_steps, event_coord,
+                  n_rejected, n_halved, stagnated)
 
 
 def _imminent_collapse(x1: float, x2: float, g: tuple[float, float],

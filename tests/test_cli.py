@@ -193,6 +193,9 @@ def test_undetermined_runs_exit_3(tmp_path, argv):
     ("portrait", "--space", "FIX-A", "--max-steps", "10"),
     ("sweep", "--space", "FIX-A", "--format", "csv"),
     ("blowup", "--space", "FIX-A", "--y0", "1", "--seed", "3"),
+    # prefixes of flags the subcommand does take
+    ("sweep", "--space", "FIX-A", "--y0", "0.5,2", "--count", "2"),
+    ("portrait", "--space", "FIX-A", "--x1", "0.1,2"),
 ])
 def test_unread_flags_are_refused(argv, capsys):
     with pytest.raises(SystemExit) as exc:
