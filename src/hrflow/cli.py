@@ -217,9 +217,7 @@ def cmd_portrait(args) -> int:
         raise SpaceModelError(f"--grid needs at least 2x2, got {args.grid}")
     x1_lo, x1_hi = _range(args.x1_range, "--x1-range")
     x2_lo, x2_hi = _range(args.x2_range, "--x2-range")
-    f = make_rhs(coeffs)
     es = einstein_roots(coeffs)
-    maximal = coeffs.planar.maximal
     os.makedirs(args.out, exist_ok=True)
     slug = _slug(space, args)
 
@@ -228,33 +226,33 @@ def cmd_portrait(args) -> int:
         "scalar_zero_positive": list(
             scalar_zero_directions(coeffs).positive_roots),
     }
-    if maximal:
+    # the region of a point is the band of y = x1/x2 between these edges
+    if coeffs.planar.maximal:
         cd = critical_directions(coeffs)
-        lines["critical_directions"] = [cd.y_tilde_1, cd.y_tilde_2]
-        bands = (cd.y_tilde_1, cd.y_tilde_2)
+        edges = [cd.y_tilde_1, cd.y_tilde_2]
+        lines["critical_directions"] = edges
+        labels = np.array(["X1", "X2", "X3"])
     else:
-        db = coeffs.planar.b0 / coeffs.planar.b1
-        lines["stationary_x2_ray"] = db
+        edges = [coeffs.planar.b0 / coeffs.planar.b1]
+        lines["stationary_x2_ray"] = edges[0]
+        labels = np.array(["below_DB", "above_DB"])
 
+    # looked up in flow at call time: perfbench/tracing.py patches it there
     from .flow import _scalar_curvature_arrays
 
+    u1, u2 = (g.ravel() for g in np.meshgrid(
+        np.linspace(x1_lo, x1_hi, nx), np.linspace(x2_lo, x2_hi, ny),
+        indexing="ij"))
+    d1, d2 = make_rhs(coeffs)(u1, u2)
+    R = _scalar_curvature_arrays(u1, u2, coeffs)
+    sign = np.where(R == 0.0, "0", np.where(R > 0, "+", "-"))
+    region = labels[np.searchsorted(edges, u1 / u2, side="right")]
     path = os.path.join(args.out, f"{slug}_portrait.csv")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("x1,x2,dx1,dx2,R_sign,region\n")
-        for u1 in np.linspace(x1_lo, x1_hi, nx):
-            for u2 in np.linspace(x2_lo, x2_hi, ny):
-                d1v, d2v = f(u1, u2)
-                R = float(_scalar_curvature_arrays(
-                    np.asarray(u1), np.asarray(u2), coeffs))
-                sign = "0" if R == 0.0 else ("+" if R > 0 else "-")
-                yv = u1 / u2
-                if maximal:
-                    region = ("X1" if yv < bands[0]
-                              else "X2" if yv < bands[1] else "X3")
-                else:
-                    region = "below_DB" if yv < db else "above_DB"
-                fh.write(",".join([_fmt(u1), _fmt(u2), _fmt(d1v), _fmt(d2v),
-                                   sign, region]) + "\n")
+        for *row, s, r in zip(u1.tolist(), u2.tolist(), d1.tolist(),
+                              d2.tolist(), sign.tolist(), region.tolist()):
+            fh.write(",".join([*map(_fmt, row), s, r]) + "\n")
     _write_json(os.path.join(args.out, f"{slug}_portrait_lines.json"), lines)
     print(f"portrait written to {path}")
     return EXIT_OK
@@ -338,11 +336,12 @@ def _space_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _integration_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--rel-tol", type=float, default=1e-10)
-    p.add_argument("--abs-tol", type=float, default=1e-14)
-    p.add_argument("--collapse-eps", type=float, default=1e-8)
-    p.add_argument("--horizon", type=float, default=1e3)
-    p.add_argument("--max-steps", type=int, default=500_000)
+    opts = IntegrationOptions()
+    p.add_argument("--rel-tol", type=float, default=opts.rel_tol)
+    p.add_argument("--abs-tol", type=float, default=opts.abs_tol)
+    p.add_argument("--collapse-eps", type=float, default=opts.collapse_epsilon)
+    p.add_argument("--horizon", type=float, default=opts.max_time)
+    p.add_argument("--max-steps", type=int, default=opts.max_steps)
 
 
 def _initial_flags(p: argparse.ArgumentParser) -> None:

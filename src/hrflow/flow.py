@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from . import stepper
-from .einstein import EinsteinSet, einstein_roots
+from .einstein import ROOT_EXCLUSION, EinsteinSet, einstein_roots
 from .errors import DomainError, NonpositiveC, OnEinsteinRoot, SpaceModelError
 from .spaces import (
     Coefficients,
@@ -324,7 +324,7 @@ def integrate(model, init: MetricState,
     if es.case_label in ("a", "b"):
         guard = np.ones_like(y, dtype=bool)
         for r, _ in es.roots:
-            guard &= np.abs(y - r) > 1e-9 * (1.0 + abs(r))
+            guard &= np.abs(y - r) > ROOT_EXCLUSION * (1.0 + abs(r))
         if np.any(guard):
             lam[guard] = _first_integral_arrays(x2[guard], y[guard], c, es)
 

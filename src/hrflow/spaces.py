@@ -307,15 +307,7 @@ def validate(space: GeneralSpace) -> ValidationReport:
                 f"summand {i}: d*b = {lhs} but 2*d*c + sum[ijk] = {rhs}",
                 float(abs(lhs - rhs))))
 
-    # deduplicate symmetric-pair repeats while preserving order
-    seen: set[tuple[str, str]] = set()
-    unique = []
-    for v in bad:
-        key = (v.rule, v.message)
-        if key not in seen:
-            seen.add(key)
-            unique.append(v)
-    return ValidationReport(tuple(unique))
+    return ValidationReport(tuple(bad))
 
 
 def derive_nonmaximal_coeffs(space: TwoSummandSpace) -> NonMaxCoeffs:
@@ -538,15 +530,26 @@ def space_to_dict(space: GeneralSpace) -> dict:
     }
 
 
+def _dimension(v) -> int:
+    n = int(v)
+    if n != float(v):
+        raise ValueError(f"dimension {v!r} is not a whole number")
+    return n
+
+
 def space_from_dict(data: dict) -> GeneralSpace:
     try:
-        entries = {
-            (e["i"], e["j"], e["k"]): _num_from_json(e["value"])
-            for e in data["triple"]
-        }
-        d = tuple(int(v) for v in data["d"])
+        d = tuple(_dimension(v) for v in data["d"])
         if "l" in data and data["l"] != len(d):
             raise ValueError(f"l = {data['l']} disagrees with {len(d)} dimensions")
+        entries: dict = {}
+        for e in data["triple"]:
+            key = tuple(sorted((e["i"], e["j"], e["k"])))
+            if not all(1 <= n <= len(d) for n in key):
+                raise ValueError(f"triple index {key} outside 1..{len(d)}")
+            if key in entries:
+                raise ValueError(f"second entry for the triple {key}")
+            entries[key] = _num_from_json(e["value"])
         return make_space(
             data["name"],
             d=d,
@@ -554,7 +557,7 @@ def space_from_dict(data: dict) -> GeneralSpace:
             triple_entries=entries,
             c=tuple(_num_from_json(v) for v in data["c"]) if data.get("c") else None,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise SpaceModelError(f"malformed space definition: {exc}") from exc
 
 

@@ -13,6 +13,8 @@ localised by bisection on a cubic Hermite interpolant of the accepted step.
 Steps that would leave the positive cone are rejected and halved, and the
 step length is capped so that a shrinking coordinate loses only a bounded
 fraction per step; that guarantees sample coverage of the vanishing tail.
+A NaN error estimate (a field that returned NaN inside the cone) raises
+``DomainError`` instead of passing for an accepted step.
 ``RawRun`` counts the branches a run took: steps rejected by the error test,
 steps halved for leaving the cone, and whether it ended on a step size
 stagnated at the resolution of s.
@@ -23,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BlowupDetected
+from .errors import BlowupDetected, DomainError
 
 #: hard guard on the state norm; crossing it signals mis-specified input
 NORM_GUARD = 1e12
@@ -222,7 +224,11 @@ def run_adaptive(
         # keep `** 2`: libm's pow(x, 2) and x * x differ in the last bit
         # for some doubles, and the accepted steps would change with it
         err = math.sqrt(0.5 * ((e1 / sc1) ** 2 + (e2 / sc2) ** 2))
-        if err > 1.0:
+        if not err <= 1.0:
+            if err != err:
+                raise DomainError(
+                    f"NaN error estimate in the step from s = {s:g}, "
+                    f"state ({x1!r}, {x2!r})")
             n_rejected += 1
             h *= max(0.2, 0.9 * err ** -0.2)
             continue

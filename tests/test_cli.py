@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -32,6 +33,36 @@ def test_validate_bad_space(tmp_path, capsys):
     assert run_cli("validate", "--space", str(path)) == 2
     payload = json.loads(capsys.readouterr().out)
     assert payload["ok"] is False and payload["violations"]
+
+
+def _fix_a_with(**changes):
+    space = h.space_to_dict(h.get_space("FIX-A"))
+    for key, value in changes.items():
+        if key in ("i", "j", "k", "value"):
+            space["triple"][0][key] = value
+        else:
+            space[key] = value
+    return space
+
+
+@pytest.mark.parametrize("space", [
+    pytest.param(_fix_a_with(i=3), id="index-past-l"),
+    # an index 0 wrapped round to summand l and the table validated
+    pytest.param(_fix_a_with(k=0), id="index-zero"),
+    pytest.param(_fix_a_with(value="1/0"), id="zero-denominator"),
+    # int() truncated the dimension to 2
+    pytest.param(_fix_a_with(d=[2.5, 4]), id="fractional-d"),
+    pytest.param(_fix_a_with(d=[float("inf"), 4]), id="infinite-d"),
+    # the last entry for one unordered triple won
+    pytest.param(_fix_a_with(c=None, triple=[
+        {"i": 1, "j": 2, "k": 2, "value": 4},
+        {"i": 2, "j": 1, "k": 2, "value": 5}]), id="repeated-triple"),
+])
+def test_malformed_space_json_is_invalid_input(tmp_path, capsys, space):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(space))
+    assert run_cli("validate", "--space", str(path)) == 2
+    assert "malformed space definition" in capsys.readouterr().err
 
 
 def test_einstein_su42(capsys):
@@ -106,6 +137,36 @@ def test_portrait_fix_d_regions(tmp_path):
     lines = json.loads((tmp_path / "FIX-D_portrait_lines.json").read_text())
     assert lines["critical_directions"] == pytest.approx(
         [0.14269112574914958, 4.4071779844547265], abs=1e-9)
+
+
+#: non-square grids with unequal ranges, so a swapped nx/ny or an "xy"
+#: meshgrid changes the bytes
+PORTRAIT_GRIDS = {
+    "7x5": ("--grid", "7x5", "--x1-range", "0.3,1.7", "--x2-range", "0.05,3"),
+    "2x9": ("--grid", "2x9", "--x1-range", "0.01,40",
+            "--x2-range", "0.2,0.25"),
+}
+
+PORTRAIT_DIGESTS = {
+    ("FIX-A", "7x5"):
+        "536ec60a5059250ca2f3e2ba092520621a67e7409fdaad259ed367c0e2fece0f",
+    ("FIX-A", "2x9"):
+        "0553510f2543b4bda72926260e8d98c697593357fb564a0629955d4382a0cf26",
+    ("FIX-D", "7x5"):
+        "b8752d7a898c05c79f8c0c29ac0d008b6ca0844bb36d6a1dfbd272548c2d63dd",
+    ("FIX-D", "2x9"):
+        "14bb0ff0642c0d55ce28f36789faa9f9002d174fa0edb4b253a2e2ae86a80c50",
+}
+
+
+@pytest.mark.parametrize("name,grid", sorted(PORTRAIT_DIGESTS))
+def test_portrait_non_square_grid_bytes(tmp_path, name, grid):
+    assert run_cli("portrait", "--space", name, *PORTRAIT_GRIDS[grid],
+                   "--out", str(tmp_path)) == 0
+    digest = hashlib.sha256()
+    for suffix in ("_portrait.csv", "_portrait_lines.json"):
+        digest.update((tmp_path / f"{name}{suffix}").read_bytes())
+    assert digest.hexdigest() == PORTRAIT_DIGESTS[name, grid]
 
 
 def test_portrait_bad_grid(tmp_path):

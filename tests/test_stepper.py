@@ -12,10 +12,11 @@ them with
 """
 
 import hashlib
+import math
 
 import pytest
 
-from hrflow.errors import BlowupDetected
+from hrflow.errors import BlowupDetected, DomainError
 from hrflow.stepper import run_adaptive
 
 DEFAULTS = dict(rtol=1e-3, atol=1e-14, eps=1e-8, max_steps=100_000)
@@ -44,6 +45,12 @@ def switching(a, b):
     # discontinuous at x1 = 3/2: with rtol = 0 no step across it passes the
     # error test, so the step size shrinks to the resolution of s
     return (1.0 if a < 1.5 else -1.0), 0.0
+
+
+def nan_below(a, b):
+    # NaN once x1 drops under 0.9: the NaN passes the positivity checks and
+    # makes the error estimate NaN
+    return (math.nan if a < 0.9 else -1.0), -0.1
 
 
 def runaway(a, b):
@@ -114,6 +121,12 @@ def test_branch_counts(name):
 def test_norm_guard_raises():
     with pytest.raises(BlowupDetected, match="exceeded 1e"):
         run_adaptive(runaway, (1.0, 1.0), 5.0, **{**DEFAULTS, "rtol": 1e-8})
+
+
+def test_nan_error_estimate_raises():
+    with pytest.raises(DomainError, match="NaN error estimate"):
+        run_adaptive(nan_below, (1.0, 1.0), 100.0, rtol=1e-10, atol=1e-14,
+                     eps=1e-8, max_steps=10_000)
 
 
 def test_golden_covers_every_case():
