@@ -2,20 +2,18 @@
 
 A regime places the starting direction y0 among the homothety roots; the
 case families are a, b, c (non-maximal by root count), C0 (vanishing
-constant term) and d, e, f (maximal by root count).  A behaviour
-report is then extracted from integrated forward and backward trajectories:
-collapse mode, singularity type by boundedness of (T - t) * kappa, ancient
-existence and type by the growth of |t| * kappa, and the limiting
-directions at both ends.  Only the case label of the Einstein set and,
-for the name of a whole-space collapse, the isotropy kind are consulted.
+constant term) and d, e, f (maximal by root count), and
+``predicted_report`` holds the case table's outcome for each.  A behaviour
+report is decided independently of both, in closed form along y by
+``yflow``: collapse mode, singularity type (whether (T - t) * kappa stays
+bounded), ancient existence and type (whether |t| * kappa does), the
+limiting directions at both ends and the singular time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
-
-import numpy as np
 
 from .einstein import CriticalDirections, EinsteinSet, einstein_roots
 from .errors import (
@@ -23,8 +21,9 @@ from .errors import (
     NotCollapsed,
     OnEinsteinRoot,
 )
-from .flow import SIMULTANEOUS_FACTOR, Direction, Termination, Trajectory
+from .flow import SIMULTANEOUS_FACTOR, Termination, Trajectory
 from .spaces import Coefficients
+from .yflow import YFlow
 
 #: y0 closer than this to a root is a fixed direction, not a regime member
 ROOT_NEIGHBOURHOOD = 1e-9
@@ -185,22 +184,7 @@ def predicted_report(regime: RegimeLabel, einstein: EinsteinSet,
 
 
 # ---------------------------------------------------------------------------
-# trajectory post-processing
-
-
-def _tail_indices_forward(traj: Trajectory, decades: float) -> np.ndarray:
-    """Sample indices inside the last `decades` of T - t (collapse runs)."""
-    T = traj.T_estimate
-    gap = T - traj.t if traj.direction is Direction.FORWARD else traj.t - T
-    last = gap[-1]
-    return np.nonzero((gap > 0) & (gap <= last * 10.0 ** decades))[0]
-
-
-def _tail_indices_elapsed(traj: Trajectory, decades: float) -> np.ndarray:
-    """Sample indices inside the last `decades` of |t - t0| (horizon runs)."""
-    el = traj.elapsed
-    top = el[-1]
-    return np.nonzero(el >= top / 10.0 ** decades)[0]
+# behaviour reports
 
 
 def forward_outcome_of(traj: Trajectory) -> Outcome:
@@ -226,65 +210,53 @@ def forward_outcome_of(traj: Trajectory) -> Outcome:
     return both
 
 
-def _median_tail(values: np.ndarray, n: int = 5) -> float:
-    return float(np.median(values[-min(n, len(values)):]))
-
-
-def _shanks_once(seq: np.ndarray) -> np.ndarray | None:
-    """One Shanks transformation; None when the trailing increments do not
-    contract geometrically (same sign, ratios bounded away from one)."""
-    d = np.diff(seq)
-    if len(d) < 2 or np.any(d[-4:] == 0.0):
-        return None
-    tail = d[-4:]
-    ratios = tail[1:] / tail[:-1]
-    if np.any(ratios <= 0.02) or np.any(ratios >= 0.97):
-        return None
-    d_safe = np.where(np.diff(d) == 0.0, np.nan, np.diff(d))
-    out = seq[2:] - d[1:] ** 2 / d_safe
-    out = out[np.isfinite(out)]
-    return out if len(out) >= 1 else None
-
-
-def _accelerated_limit(elapsed: np.ndarray, values: np.ndarray) -> float:
-    """Tail limit via Shanks acceleration on geometrically spaced samples.
-
-    Simple-direction approaches decay like a power of the elapsed time, for
-    which two Shanks sweeps on ratio-two samples recover the limit to a few
-    parts in 1e4 at moderate horizons.  When the increments do not contract
-    geometrically (converged tails, logarithmic approaches) the untouched
-    tail value is kept instead.
-    """
-    top = float(elapsed[-1])
-    if top <= 0 or len(values) < 8:
-        return _median_tail(values)
-    picks = top / 2.0 ** np.arange(11)[::-1]
-    pos = elapsed > 0
-    picks = picks[picks >= float(elapsed[pos][0])]
-    if len(picks) < 5:
-        return _median_tail(values)
-    seq = np.interp(np.log(picks), np.log(elapsed[pos]), values[pos])
-    best = float(seq[-1])
-    for _ in range(2):
-        nxt = _shanks_once(seq)
-        if nxt is None or len(nxt) == 0:
-            break
-        seq = nxt
-        best = float(seq[-1])
-    return best
+def classify_starts(coeffs: Coefficients, einstein: EinsteinSet, y0s,
+                    regimes, *, backward: bool = True,
+                    ) -> list[BehaviorReport]:
+    """Behaviour reports of the flows from (x1, x2) = (y0, 1), one per
+    start and its regime, with every verdict and T from the closed form
+    along y (``yflow``); ``backward=False`` leaves the ancient fields
+    unset."""
+    ends = YFlow(coeffs, einstein).run(y0s)
+    shrink = _shrink_outcome(coeffs)
+    t1, t2 = SingularType.TYPE_I, SingularType.TYPE_II
+    reports = []
+    for i, regime in enumerate(regimes):
+        ancient = bool(ends.ancient[i]) if backward else None
+        reports.append(BehaviorReport(
+            regime=regime,
+            forward_outcome=(shrink if ends.shrinks[i]
+                             else Outcome.FIBER_COLLAPSE),
+            singular_type=t1 if ends.type_one[i] else t2,
+            forward_y_limit=float(ends.y_forward[i]),
+            ancient_exists=ancient,
+            ancient_type=((t1 if ends.ancient_type_one[i] else t2)
+                          if ancient else None),
+            backward_y_limit=(float(ends.y_backward[i]) if ancient
+                              else None),
+            T_estimate=float(ends.T[i]),
+        ))
+    return reports
 
 
 def classify_trajectory(fwd: Trajectory, bwd: Trajectory | None,
                         coeffs: Coefficients,
                         einstein: EinsteinSet | None = None,
                         ) -> BehaviorReport:
-    """Assemble the behaviour report from integrated trajectories.
+    """The behaviour report of the flow that ``fwd`` starts.
 
-    The forward trajectory must have collapsed.  A backward trajectory that
-    reached the horizon with both coefficients growing certifies an ancient
-    solution; a backward collapse certifies there is none.  A backward step
-    budget exhaustion is an InsufficientHorizon error rather than a guess.
+    The forward trajectory must have collapsed, and a backward trajectory,
+    when given, must not have run out of steps; without one the ancient
+    fields stay unset.  The verdicts and the singular time come from the
+    closed form along y for the start ``fwd.y[0]``, with T scaled by
+    ``fwd.x2[0]``; the trajectories themselves are not read further.
     """
+    if not fwd.termination.is_collapse:
+        raise NotCollapsed(f"trajectory ended with {fwd.termination.value}")
+    if bwd is not None and bwd.termination is Termination.STEP_LIMIT:
+        raise InsufficientHorizon(
+            "backward integration exhausted its step budget before the "
+            "horizon; raise max_steps or lower the horizon")
     if einstein is None:
         einstein = einstein_roots(coeffs)
     y0 = float(fwd.y[0])
@@ -294,66 +266,6 @@ def classify_trajectory(fwd: Trajectory, bwd: Trajectory | None,
         # starting on a homothety direction: not an interval case
         order = sorted(einstein.values)
         regime = RegimeLabel("fixed", 1 + order.index(einstein.nearest(y0)[0]))
-    outcome = forward_outcome_of(fwd)
-    sing = _singular_type(fwd)
-    fwd_limit = _median_tail(fwd.y)
-
-    ancient = None
-    ancient_type = None
-    bwd_limit = None
-    if bwd is not None:
-        if bwd.termination is Termination.STEP_LIMIT:
-            raise InsufficientHorizon(
-                "backward integration exhausted its step budget before the "
-                "horizon; raise max_steps or lower the horizon")
-        grows = (bwd.x1[-1] > bwd.x1[0]) and (bwd.x2[-1] > bwd.x2[0])
-        ancient = bwd.termination is Termination.HORIZON_REACHED and bool(grows)
-        if ancient:
-            ancient_type = _ancient_type(bwd)
-            bwd_limit = _accelerated_limit(bwd.elapsed, bwd.y)
-    return BehaviorReport(
-        regime=regime,
-        forward_outcome=outcome,
-        singular_type=sing,
-        forward_y_limit=fwd_limit,
-        ancient_exists=ancient,
-        ancient_type=ancient_type,
-        backward_y_limit=bwd_limit,
-        T_estimate=fwd.T_estimate,
-    )
-
-
-def _singular_type(fwd: Trajectory, decades: float = 2.0,
-                   flat_tol: float = 0.10, growth_factor: float = 10.0):
-    """Boundedness of (T - t) * kappa over the last decades before T."""
-    if fwd.T_estimate is None:
-        return SingularType.UNDETERMINED
-    idx = _tail_indices_forward(fwd, decades)
-    if len(idx) < 5:
-        return SingularType.UNDETERMINED
-    q = (fwd.T_estimate - fwd.t[idx]) * fwd.kappa[idx]
-    q = q[q > 0]
-    if len(q) < 5:
-        return SingularType.UNDETERMINED
-    lo, hi = float(np.min(q)), float(np.max(q))
-    rising = bool(np.all(np.diff(q) >= 0)) and q[-1] > q[0] * (1 + flat_tol / 2)
-    if hi / lo <= 1.0 + flat_tol and not rising:
-        return SingularType.TYPE_I
-    if q[-1] / q[0] > growth_factor and _weakly_increasing(q):
-        return SingularType.TYPE_II
-    return SingularType.UNDETERMINED
-
-
-def _ancient_type(bwd: Trajectory, decades: float = 2.0,
-                  growth_factor: float = 10.0) -> SingularType:
-    """Growth of |t| * kappa over the last decades of elapsed time."""
-    idx = _tail_indices_elapsed(bwd, decades)
-    q = bwd.elapsed[idx] * bwd.kappa[idx]
-    if len(q) >= 3 and q[-1] / q[0] > growth_factor and _weakly_increasing(q):
-        return SingularType.TYPE_II
-    return SingularType.TYPE_I
-
-
-def _weakly_increasing(q: np.ndarray, slack: float = 0.01) -> bool:
-    return bool(np.all(q[1:] >= q[:-1] * (1.0 - slack)))
-
+    (rep,) = classify_starts(coeffs, einstein, [y0], [regime],
+                             backward=bwd is not None)
+    return replace(rep, T_estimate=float(fwd.x2[0]) * rep.T_estimate)

@@ -11,6 +11,7 @@ rendered.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -20,7 +21,12 @@ import numpy as np
 
 from . import __version__
 from .blowup import soliton_limit
-from .classify import classify_trajectory, predicted_report, regime_of
+from .classify import (
+    classify_starts,
+    classify_trajectory,
+    predicted_report,
+    regime_of,
+)
 from .einstein import (
     critical_directions,
     einstein_roots,
@@ -55,6 +61,9 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_UNDETERMINED = 3
 EXIT_IO = 4
+
+#: sweep starts classified per engine pass
+SWEEP_CHUNK = 256
 
 
 def _fmt(v: float) -> str:
@@ -205,8 +214,6 @@ def cmd_flow(args) -> int:
     _write_json(os.path.join(args.out, f"{slug}_report.json"), rep.to_dict())
     print(f"{slug}: {rep.forward_outcome.value} ({rep.singular_type.value}), "
           f"T ~ {rep.T_estimate}, ancient = {rep.ancient_exists}")
-    if rep.singular_type.value == "Undetermined":
-        return EXIT_UNDETERMINED
     return EXIT_OK
 
 
@@ -218,7 +225,6 @@ def cmd_portrait(args) -> int:
     x1_lo, x1_hi = _range(args.x1_range, "--x1-range")
     x2_lo, x2_hi = _range(args.x2_range, "--x2-range")
     es = einstein_roots(coeffs)
-    os.makedirs(args.out, exist_ok=True)
     slug = _slug(space, args)
 
     lines: dict = {
@@ -243,10 +249,16 @@ def cmd_portrait(args) -> int:
     u1, u2 = (g.ravel() for g in np.meshgrid(
         np.linspace(x1_lo, x1_hi, nx), np.linspace(x2_lo, x2_hi, ny),
         indexing="ij"))
-    d1, d2 = make_rhs(coeffs)(u1, u2)
-    R = _scalar_curvature_arrays(u1, u2, coeffs)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        d1, d2 = make_rhs(coeffs)(u1, u2)
+        R = _scalar_curvature_arrays(u1, u2, coeffs)
+    if not all(np.isfinite(v).all() for v in (d1, d2, R)):
+        raise SpaceModelError(
+            "the field or the scalar curvature overflows on this grid; "
+            "narrow --x1-range or --x2-range")
     sign = np.where(R == 0.0, "0", np.where(R > 0, "+", "-"))
     region = labels[np.searchsorted(edges, u1 / u2, side="right")]
+    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"{slug}_portrait.csv")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("x1,x2,dx1,dx2,R_sign,region\n")
@@ -275,41 +287,53 @@ def cmd_sweep(args) -> int:
               "ancient_type,forward_y_limit,backward_y_limit,matches_prediction")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        for i, y0 in enumerate(y0s):
-            row = _sweep_row(coeffs, es, float(y0), args)
-            fh.write(f"{i}," + row + "\n")
+        for start in range(0, len(y0s), SWEEP_CHUNK):
+            chunk = y0s[start:start + SWEEP_CHUNK].tolist()
+            for i, row in enumerate(_sweep_rows(coeffs, es, chunk), start):
+                fh.write(f"{i}," + row + "\n")
     print(f"sweep written to {path}")
     return EXIT_OK
 
 
-def _sweep_row(coeffs, es, y0: float, args) -> str:
-    """The nine fields after the index; a fixed direction leaves all but
-    y0 and the regime empty."""
-    init = MetricState(t=0.0, x1=y0, x2=1.0)
-    try:
-        regime = regime_of(coeffs, es, None, y0)
-    except OnEinsteinRoot:
-        return f"{_fmt(y0)},fixed" + "," * 7
-    fwd = integrate(coeffs, init, _options_from(args, Direction.FORWARD))
-    bwd = integrate(coeffs, init, _options_from(args, Direction.BACKWARD))
-    rep = classify_trajectory(fwd, bwd, coeffs, es)
-    pred = predicted_report(regime, es, coeffs)
-    matches = (
-        rep.forward_outcome is pred.outcome
-        and rep.ancient_exists == pred.ancient_exists
-        and (pred.forward_y_limit is None
-             or abs(rep.forward_y_limit - pred.forward_y_limit)
-             <= 1e-2 * (1 + abs(pred.forward_y_limit)))
-    )
-    return ",".join([
-        _fmt(y0), str(regime), rep.forward_outcome.value,
-        _fmt(rep.T_estimate) if rep.T_estimate is not None else "",
-        str(rep.ancient_exists),
-        rep.ancient_type.value if rep.ancient_type else "",
-        _fmt(rep.forward_y_limit) if rep.forward_y_limit is not None else "",
-        _fmt(rep.backward_y_limit) if rep.backward_y_limit is not None else "",
-        str(bool(matches)),
-    ])
+def _sweep_rows(coeffs, es, y0s: list[float]) -> list[str]:
+    """The nine fields after the index of each start; a fixed direction
+    leaves all but y0 and the regime empty.  A row matches the case table
+    when every field of ``predicted_report`` agrees, limits to 1e-2."""
+    regimes = []
+    for y0 in y0s:
+        try:
+            regimes.append(regime_of(coeffs, es, None, y0))
+        except OnEinsteinRoot:
+            regimes.append(None)
+    out = []
+    for y0, rep in zip(y0s, classify_starts(coeffs, es, y0s, regimes)):
+        if rep.regime is None:
+            out.append(f"{_fmt(y0)},fixed" + "," * 7)
+            continue
+        pred = predicted_report(rep.regime, es, coeffs)
+        matches = (
+            rep.forward_outcome is pred.outcome
+            and _near(rep.forward_y_limit, pred.forward_y_limit)
+            and rep.ancient_exists == pred.ancient_exists
+            and rep.ancient_type == pred.ancient_type
+            and _near(rep.backward_y_limit, pred.backward_y_limit)
+        )
+        out.append(",".join([
+            _fmt(y0), str(rep.regime), rep.forward_outcome.value,
+            _fmt(rep.T_estimate), str(rep.ancient_exists),
+            rep.ancient_type.value if rep.ancient_type else "",
+            _fmt(rep.forward_y_limit),
+            _fmt(rep.backward_y_limit) if rep.ancient_exists else "",
+            str(bool(matches)),
+        ]))
+    return out
+
+
+def _near(got: float | None, want: float | None) -> bool:
+    """A limit against the case table's: both absent, or within 1e-2."""
+    if got is None or want is None:
+        return got is want
+    return abs(got - want) <= 1e-2 * (1 + abs(want))
 
 
 def cmd_blowup(args) -> int:
@@ -351,7 +375,10 @@ def _initial_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--x2", type=float, default=None)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser; its table never changes, so it is built
+    once per process."""
     parser = argparse.ArgumentParser(
         prog="hrflow",
         description="Flow laboratory for invariant metrics on homogeneous "
@@ -387,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x2-range", default="0.04,2.0")
 
     p = command("sweep", cmd_sweep, "classify a family of initial conditions",
-                _space_flags, _integration_flags)
+                _space_flags)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--y0-range", default="0.1,10")
     p.add_argument("--count", type=int, default=20)

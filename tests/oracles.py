@@ -85,3 +85,28 @@ def scipy_trajectory(coeffs, x0: tuple[float, float], t_span, rtol, atol):
     sol = solve_ivp(lambda t, u: f(u[0], u[1]), t_span, list(x0),
                     method="RK45", rtol=rtol, atol=atol, dense_output=True)
     return sol
+
+
+def dop853_singular_time(coeffs, y0: float, eps: float = 1e-12) -> float:
+    """Forward singular time from (x1, x2) = (y0, 1) by scipy's DOP853,
+    integrated to a collapse threshold far below hrflow's and extrapolated
+    linearly to zero.  rtol 1e-13 places some events badly (errors up to
+    2e-9 seen); 3e-14, just above scipy's floor, does not."""
+    from scipy.integrate import solve_ivp
+
+    from hrflow.flow import make_rhs
+
+    f = make_rhs(coeffs)
+
+    def collapse(t, u):
+        return min(u[0], u[1]) - eps
+    collapse.terminal = True
+    collapse.direction = -1
+
+    sol = solve_ivp(lambda t, u: f(u[0], u[1]), (0.0, 1e6), [y0, 1.0],
+                    method="DOP853", rtol=3e-14, atol=1e-22,
+                    events=collapse)
+    t_ev = float(sol.t_events[0][0])
+    u = sol.y_events[0][0]
+    k = 0 if u[0] <= u[1] else 1
+    return t_ev + u[k] / -f(u[0], u[1])[k]

@@ -169,6 +169,16 @@ def test_portrait_non_square_grid_bytes(tmp_path, name, grid):
     assert digest.hexdigest() == PORTRAIT_DIGESTS[name, grid]
 
 
+def test_portrait_refuses_an_overflowing_grid(tmp_path, capsys):
+    # y = x1/x2 reaches 1e608 here, where the field is not finite
+    out = tmp_path / "out"
+    assert run_cli("portrait", "--space", "FIX-D", "--grid", "3x2",
+                   "--x1-range", "1e300,1e308", "--x2-range", "1e-300,1e-290",
+                   "--out", str(out)) == 2
+    assert "overflows" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_portrait_bad_grid(tmp_path):
     assert run_cli("portrait", "--space", "SU42", "--grid", "1x1",
                    "--out", str(tmp_path)) == 2
@@ -178,15 +188,23 @@ def test_portrait_bad_grid(tmp_path):
                    "--out", str(tmp_path)) == 2
 
 
+SWEEP_FIXTURES = ("SU42", "FIX-A", "FIX-B", "FIX-C0", "FIX-D", "FIX-E",
+                  "FIX-E2", "FIX-F")
+
+
 def test_sweep_matches_predictions(tmp_path):
-    code = run_cli("sweep", "--space", "FIX-A", "--y0-range", "0.1,10",
-                   "--count", "12", "--out", str(tmp_path))
-    assert code == 0
-    rows = (tmp_path / "FIX-A_sweep.csv").read_text().splitlines()
-    assert rows[0].startswith("index,y0,regime,outcome,")
-    assert len(rows) == 13
-    for row in rows[1:]:
-        assert row.split(",")[-1] == "True"
+    mismatched = []
+    for name in SWEEP_FIXTURES:
+        code = run_cli("sweep", "--space", name, "--mode", "random",
+                       "--seed", "5", "--count", "60",
+                       "--y0-range", "0.05,20", "--out", str(tmp_path))
+        assert code == 0
+        rows = (tmp_path / f"{name}_sweep.csv").read_text().splitlines()
+        assert rows[0].startswith("index,y0,regime,outcome,")
+        assert len(rows) == 61
+        mismatched += [(name, row) for row in rows[1:]
+                       if row.split(",")[-1] != "True"]
+    assert not mismatched
 
 
 @pytest.mark.parametrize("y0_range", ["abc", "1", "1,2,3", "2,1", "0.1,inf"])
@@ -253,6 +271,7 @@ def test_undetermined_runs_exit_3(tmp_path, argv):
     ("flow", "--space", "FIX-A", "--y0", "1", "--format", "csv"),
     ("portrait", "--space", "FIX-A", "--max-steps", "10"),
     ("sweep", "--space", "FIX-A", "--format", "csv"),
+    ("sweep", "--space", "FIX-A", "--horizon", "5"),
     ("blowup", "--space", "FIX-A", "--y0", "1", "--seed", "3"),
     # prefixes of flags the subcommand does take
     ("sweep", "--space", "FIX-A", "--y0", "0.5,2", "--count", "2"),
@@ -263,6 +282,23 @@ def test_unread_flags_are_refused(argv, capsys):
         run_cli(*argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_cached_parser_keeps_no_state(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    sweep = ("sweep", "--space", "FIX-A", "--count", "3")
+    assert run_cli(*sweep, "--out", str(tmp_path / "a")) == 0
+    assert run_cli("flow", "--space", "FIX-A", "--y0", "0.75",
+                   "--out", str(tmp_path)) == 0
+    report = json.loads((tmp_path / "FIX-A_y0_0.75_report.json").read_text())
+    assert report["forward_outcome"] == "ShrinkToPoint"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*sweep, "--horizon", "5", "--out", str(tmp_path / "b"))
+    assert exc.value.code == 2
+    assert run_cli(*sweep, "--out", str(tmp_path / "c")) == 0
+    first = (tmp_path / "a" / "FIX-A_sweep.csv").read_text()
+    assert first.count("\n") == 4
+    assert (tmp_path / "c" / "FIX-A_sweep.csv").read_text() == first
 
 
 def test_blowup_command(tmp_path, capsys):

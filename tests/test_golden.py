@@ -45,11 +45,11 @@ GOLDEN = {
     ('SU42', 'portrait'):
         '3fdaa7bd77b57f070d2bf933106026755d01fc99d8384520f66caa44a445ad1d',
     ('SU42', 'sweep-grid'):
-        '4cd840888fb77ff89b7d9c05c36c010758baec9f374f765c6a1d32da5ee5b4ef',
+        'bc6af2bd8272ba02e8eb8b8a124ccc8d9c49cee8b68c2609c1acb363782b62f9',
     ('SU42', 'sweep-random'):
-        '574564e5f4163074cb3c533f2a96cc9796432e1f732d9bf9e82b7ab3b2e21f1f',
+        'cb89f03a548ff05a540b69f3114c56114d7e21c3f1855d15d7e3983808b74b20',
     ('SU42', 'flow'):
-        'd09eb42fab32040436d5000afc35c7c188835515879ba9c8ec6f353fe76f5ec4',
+        '1dc5c4415c62b9d9abe2c1cd9228bb3e23cf1327e01b0d72809a2aa7bc4cdc7d',
     ('SU42', 'blowup'):
         '4d3a2355e3703ddc5e28cd2c9ed2cb155ad422067f5ad924acbf1d531835404f',
     ('FIX-A', 'einstein'):
@@ -57,11 +57,11 @@ GOLDEN = {
     ('FIX-A', 'portrait'):
         'd03e641ab28498470c4491a1fc3fadb327fad66269f74c2ff17f66fe53c5f2d1',
     ('FIX-A', 'sweep-grid'):
-        'cc7a8dd8392a708a75630f9d5b12e96e1c9d3fc5fd186d7ab8850f81986f48d9',
+        'f4bc35bc6b82aa6f6b34e14146b8dc7a0ec827e63855192e0e77ae6324e11088',
     ('FIX-A', 'sweep-random'):
-        'dac1ea2944c940f7eeebc3572916b2e1b85241e655007ab39bc1994d0c4655f8',
+        'ac1a1320dd68f061c590c6f7c494e1427e64f0519974979f91b9da33c51551ad',
     ('FIX-A', 'flow'):
-        '49c9501bdbfa853f46153430ecef3851ac73c4b2d6ea0979f2a63865b0708f6e',
+        'f44da131e3cd03334323a5ca2d23925773500782f0a014d589005e09f4d405cc',
     ('FIX-A', 'blowup'):
         'ef0079756dda4fbfc1f2cfcf0aa941c8061b5935336a20b7641b55b7fcb66419',
     ('FIX-B', 'einstein'):
@@ -69,11 +69,11 @@ GOLDEN = {
     ('FIX-B', 'portrait'):
         'c79e84179878d1265a9b6532888314328770451ae8efe60ad8592522e3033754',
     ('FIX-B', 'sweep-grid'):
-        '8fde1f1a1efab2a0ac9f8d1216749908511bcbfe46c3ff39742d145feab6cf5e',
+        '12ccb04b896a50fa4ca52a0f553b1883698c18a3a41c0055d4926d9fdd1e9118',
     ('FIX-B', 'sweep-random'):
-        'be262a14d0e9baa745ef6d2035ea99f04c30139b31dfcfcaf7bd87e605847d14',
+        'cf8cd90c637ea7de641aa7fc5e8fdbe02368653c530cdab042ffe513e18a099c',
     ('FIX-B', 'flow'):
-        'b98f1bf782e77e7458a16801392f695d3ac17d075dc7f146f8dc15410a53b1d5',
+        '95bba78acf3b7fffe8633183f5a7d93b41ee50a5845c019dc3773c22dcbf3646',
     ('FIX-B', 'blowup'):
         'c319c9710c89ef80424d2135e3acef01664716c2d8c67e99bdd4547998469f6e',
     ('FIX-C0', 'einstein'):
@@ -81,11 +81,11 @@ GOLDEN = {
     ('FIX-C0', 'portrait'):
         '730c273991198b06c0561796cc391ced3e93688469c25303cf7376a119923382',
     ('FIX-C0', 'sweep-grid'):
-        'e5a2bf6e25aa42484edec4cedd3d2edf3be27972b3e84cc4f253acd1b355764c',
+        '08b6751c8722dcc147faa3cdd44081b82f4552707ce5d277a94208448f6356d6',
     ('FIX-C0', 'sweep-random'):
-        '7d80c9c3257c51ec668316d150cfd40a6ed69984ccb4e1511f061f58692abcfa',
+        'fc0c5cc9c4044af3465e1e1109de077d2077cdff81e0153ec0dff24895b09e10',
     ('FIX-C0', 'flow'):
-        '6f2b92416cedf6352f7e7c0a2557190c121c6ac06746d06a86d749a0924bc768',
+        'cd3498244c05427c40ee001de230b623770530d67ea4f39f8e6fe7a0ee877a65',
     ('FIX-C0', 'blowup'):
         '9ddc426c16377a6478329a79002af9f88cd524d50fc6be76ecd16a5e33b62d46',
     ('FIX-D', 'einstein'):
@@ -93,11 +93,11 @@ GOLDEN = {
     ('FIX-D', 'portrait'):
         '2529ca128694095e8832ee64b48b4c0ed704d9e6642c34504508f6eae27e5a57',
     ('FIX-D', 'sweep-grid'):
-        '020f1c69b9e1f7f7bc3150fb91d47a8bb7f4ad9012fc0ac3871d0814a1511666',
+        '95fe1087732986852e464abb6b49ebf9a077406f681e088efdb0fbdde9b3b461',
     ('FIX-D', 'sweep-random'):
-        'a4f59413ab626eefb1a68ed93dfe3a5b30eb731e7a1d2dc2908656efc3c47d5d',
+        '0b5f7f650505e4809839f20a71166e39cc1b3ba542b6d56a020bebb26bb3f075',
     ('FIX-D', 'flow'):
-        '50dd38fd6158639372a027383f30f5833fb3ff0f340924a2d863806623a012cc',
+        '892508871438a9ea1b9bfca3cd864990497581e972adde2e057c8d0c347dc44d',
     ('FIX-D', 'blowup'):
         '03954c486ed69c33de127b735d4a76f83c80d19f476003c93b5abbf93410408b',
     ('FIX-E', 'einstein'):
@@ -105,11 +105,11 @@ GOLDEN = {
     ('FIX-E', 'portrait'):
         '031fad9b1250acd41da1f164f81f465d63d2a8a4091533b003835b67592f1e22',
     ('FIX-E', 'sweep-grid'):
-        '5a990f9ccbd8a552f75962e23590871d5a56a9ff97e6c42bb26fcefd5c5bfe37',
+        '6a8dd365bc8cb285000a40b8f543e74fe0e50c7e0aa68f57b75eadc177bdf392',
     ('FIX-E', 'sweep-random'):
-        'a81df82ea9aad8dc65e48c938a6f5a4502ea4c9298717d984848b9b8fa46c9f3',
+        '1c22349bf6e83ed497d91a19aef5d3aef6d7b1420751ec4050c6e573da65f5ce',
     ('FIX-E', 'flow'):
-        '9bf786a38991a66cfddc2fdb30b64a0c916e8d86f47b64ef762ab5e17a981131',
+        '1dd61c944bf6aaef1dbec07ee5676f0876de70046ca9e04a9e8c97b7d006e922',
     ('FIX-E', 'blowup'):
         '6c2d01e4975610b8a517026a2581d65c1879a999ba982a6db2253080bf10662a',
     ('FIX-E2', 'einstein'):
@@ -117,11 +117,11 @@ GOLDEN = {
     ('FIX-E2', 'portrait'):
         '12826b60bea0cb9a40b3c00a87737eb8897ad1e4437b41dd40ebec6bf1a1bf2e',
     ('FIX-E2', 'sweep-grid'):
-        '565e9c2bdee141b16cd88ca885382f8fc4f2c68b8a854238e6f88dcf5db165f7',
+        '4b33c14544fbdd4a399536d6060ccbabc8d9fea17c89193cee7d4d9a614e68ca',
     ('FIX-E2', 'sweep-random'):
-        '771c68dc8423dbc6f583359c9ecc4e6afcd1df0dc78eafb7efa71b74ba362832',
+        '1122bc8a87b0887d2e0b8088f6927a66744dfd935b590a0c956558019858891a',
     ('FIX-E2', 'flow'):
-        'c38a7793084897f1d681a614f3d397cd3c01b87b9af239644c3c70b1f6f41f21',
+        '03e828198f10d238d11c1f10ce87df81cb7ff19ec88f88cc5200088450ea01f5',
     ('FIX-E2', 'blowup'):
         'ee40ef4bb2fafff28d811a46f4008741d1170f01a2228a617bfb0e024751a9db',
     ('FIX-F', 'einstein'):
@@ -129,11 +129,11 @@ GOLDEN = {
     ('FIX-F', 'portrait'):
         '89effcc2cdd6b8a9bdef757753c1e8acbb9b20bbe3722323089fa6264dd3fdbe',
     ('FIX-F', 'sweep-grid'):
-        '9bc1a036451b6391e9d15339aeb850d3f3c903de757ff754f7292534959efa7a',
+        'aef32c70cab0f716c4410579447363732c43936699bdfd6a47784b34d8f78d5c',
     ('FIX-F', 'sweep-random'):
-        'e37ae2122fadc5f8017168f48629c2d5557a81585b9d45f2db8ad7310a6aeb8b',
+        '0eafd03c8ee61e5ddb948c78a833acf248e1bf4d6480c058ed2e8f8067a44ae8',
     ('FIX-F', 'flow'):
-        '0a9a7a2b858e960f4e31f41dce4938bc1f1111f6d7286ab1d952e58c1c888ca9',
+        'd2571fdae555b30827fc5fdaabd59ece9da859451316b735fb8bbf289b138d42',
     ('FIX-F', 'blowup'):
         '9c4f25355b49a8e5c34b3511c4f7aa4f8202c44f53948b9eb226eb01a2e67ddd',
 }
