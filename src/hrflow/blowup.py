@@ -3,7 +3,11 @@
 Rescaling a collapsing trajectory by the curvature proxy at base times
 approaching the singular time produces a limit: a homogeneous Einstein pair
 when the whole space shrinks to a point, and a product of the shrunk fiber
-with a flat factor of dimension d2 when only the fiber collapses.
+with a flat factor of dimension d2 when only the fiber collapses.  The
+limit is exact: the rescaled pair depends on y = x1/x2 alone, so it is
+evaluated at the limiting direction and collapse mode that ``yflow``
+decides from the start, and no tail of the sampled trajectory is read.
+``rescale_at`` rescales the sampled trajectory at one base time.
 """
 
 from __future__ import annotations
@@ -12,13 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import Outcome, forward_outcome_of
 from .einstein import EinsteinSet
-from .errors import OutOfRange, Unclassified
+from .errors import NotCollapsed, OutOfRange, Unclassified
 from .flow import Direction, Trajectory
-
-#: successive rescaled values must agree to this relative tolerance
-CAUCHY_RTOL = 1e-3
+from .yflow import YFlow
 
 
 @dataclass(frozen=True)
@@ -74,49 +75,30 @@ def rescale_at(traj: Trajectory, t_j: float) -> RescaledState:
 
 
 def soliton_limit(traj: Trajectory, es: EinsteinSet) -> SolitonLimit:
-    """Identify the blow-up limit of a forward collapsing trajectory.
+    """The blow-up limit of the flow that a forward collapsed run starts.
 
-    The limit is read at the last sample after a Cauchy check across the
-    final decade of the distance to the singular time: successive rescaled
-    values must have settled to the CAUCHY_RTOL level.
+    Rescaled by kappa, which is homogeneous of degree -1, the pair is a
+    function of y alone, q(y) = (kappa*x1, kappa*x2) = (1 + y + y^2 + w/y,
+    1/y + 1 + y + w/y^2) with w = 1 for the maximal kind and 0 otherwise;
+    so the limit is q(y*) at the limiting direction y* of ``yflow``, read
+    from the start ``traj.y[0]`` alone.  A fiber collapse ends at y* = 0,
+    where the rescaled fiber coefficient tends to q1(0) = 1.
     """
     if traj.direction is not Direction.FORWARD:
         raise Unclassified("blow-up limits are read from forward trajectories")
-    outcome = forward_outcome_of(traj)
-    T = traj.T_estimate if traj.T_estimate is not None else float(traj.t[-1])
-    gap = T - traj.t
-    idx = np.nonzero((gap > 0) & (gap <= gap[-1] * 10.0))[0]
-    if len(idx) < 10:
-        raise Unclassified(
-            f"only {len(idx)} samples in the final decade; need at least 10")
-
-    q1 = traj.kappa[idx] * traj.x1[idx]
-    q2 = traj.kappa[idx] * traj.x2[idx]
-    if outcome in (Outcome.SHRINK_TO_POINT, Outcome.SIMULTANEOUS_COLLAPSE):
-        _require_cauchy(q1, "rescaled x1")
-        _require_cauchy(q2, "rescaled x2")
-        pair = (float(q1[-1]), float(q2[-1]))
-        return SolitonLimit(
-            kind="EinsteinPoint",
-            pair=pair,
-            ratio=pair[0] / pair[1],
-            fiber_constant=None,
-            flat_dim=None,
-        )
-    _require_cauchy(q1, "rescaled fiber coefficient")
+    if not traj.termination.is_collapse:
+        raise NotCollapsed(f"trajectory ended with {traj.termination.value}")
+    engine = YFlow(traj.coeffs, es)
+    end, _, shrinks = engine.forward_end(traj.y[:1])
+    if not shrinks[0]:
+        return SolitonLimit(kind="RigidProduct", pair=None, ratio=None,
+                            fiber_constant=1.0, flat_dim=traj.coeffs.d2)
+    y = float(engine.z[end[0]])
+    w = 1.0 if traj.coeffs.planar.maximal else 0.0
     return SolitonLimit(
-        kind="RigidProduct",
-        pair=None,
-        ratio=None,
-        fiber_constant=float(q1[-1]),
-        flat_dim=traj.coeffs.d2,
+        kind="EinsteinPoint",
+        pair=(1.0 + y + y * y + w / y, 1.0 / y + 1.0 + y + w / (y * y)),
+        ratio=y,
+        fiber_constant=None,
+        flat_dim=None,
     )
-
-
-def _require_cauchy(values: np.ndarray, label: str) -> None:
-    tail = values[-5:]
-    rel = np.abs(np.diff(tail)) / np.maximum(np.abs(tail[1:]), 1e-300)
-    if not np.all(rel <= CAUCHY_RTOL):
-        raise Unclassified(
-            f"{label} has not settled: successive changes {rel} exceed "
-            f"{CAUCHY_RTOL}")

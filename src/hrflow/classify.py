@@ -21,7 +21,7 @@ from .errors import (
     NotCollapsed,
     OnEinsteinRoot,
 )
-from .flow import SIMULTANEOUS_FACTOR, Termination, Trajectory
+from .flow import Termination, Trajectory
 from .spaces import Coefficients
 from .yflow import YFlow
 
@@ -185,29 +185,6 @@ def predicted_report(regime: RegimeLabel, einstein: EinsteinSet,
 
 # ---------------------------------------------------------------------------
 # behaviour reports
-
-
-def forward_outcome_of(traj: Trajectory) -> Outcome:
-    """Collapse mode from the vanishing pattern at the singular time.
-
-    Fiber collapse means x1 reaches zero while x2 extrapolates to a value
-    bounded away from zero at the singular-time estimate.
-    """
-    if not traj.termination.is_collapse:
-        raise NotCollapsed(f"trajectory ended with {traj.termination.value}")
-    both = _shrink_outcome(traj.coeffs)
-    if traj.termination is Termination.COLLAPSE_BOTH:
-        return both
-    eps = traj.options.collapse_epsilon
-    T = traj.T_estimate if traj.T_estimate is not None else float(traj.t[-1])
-    # extrapolate the co-vanishing coordinate to T along its final slope
-    other = 1 if traj.termination is Termination.COLLAPSE_X1 else 0
-    val = float((traj.x1, traj.x2)[other][-1])
-    slope = traj.final_rhs[other]
-    at_T = val + slope * (T - float(traj.t[-1]))
-    if at_T > eps * SIMULTANEOUS_FACTOR:
-        return Outcome.FIBER_COLLAPSE
-    return both
 
 
 def classify_starts(coeffs: Coefficients, einstein: EinsteinSet, y0s,

@@ -2,10 +2,9 @@
 
 Exit codes: 0 success, 2 validation or configuration failure, 3 undetermined
 classification (a backward step budget that ran out, a forward run that did
-not collapse, a blow-up limit that did not settle), 4 file input/output
-failure.  Raised errors are mapped to them in ``main`` alone.  All emitted
-files are plot-ready CSV or JSON with deterministic formatting; nothing is
-rendered.
+not collapse), 4 file input/output failure.  Raised errors are mapped to
+them in ``main`` alone.  All emitted files are plot-ready CSV or JSON with
+deterministic formatting; nothing is rendered.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from .errors import (
     NotCollapsed,
     OnEinsteinRoot,
     SpaceModelError,
-    Unclassified,
 )
 from .flow import (
     Direction,
@@ -433,7 +431,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"input/output failure: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (InsufficientHorizon, NotCollapsed, Unclassified) as exc:
+    except (InsufficientHorizon, NotCollapsed) as exc:
         print(f"undetermined: {exc}", file=sys.stderr)
         return EXIT_UNDETERMINED
     except SpaceModelError as exc:

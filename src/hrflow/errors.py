@@ -42,7 +42,8 @@ class InsufficientHorizon(HrflowError):
 
 
 class Unclassified(HrflowError):
-    """A trajectory tail is too short to extract the requested limit."""
+    """A limit was asked of a trajectory it is not read from, such as the
+    blow-up limit of a backward run."""
 
 
 class OutOfRange(HrflowError):

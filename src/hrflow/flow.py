@@ -97,7 +97,6 @@ class Trajectory:
     final_rhs: tuple[float, float]
     t0: float
     coeffs: Coefficients
-    options: IntegrationOptions
     einstein: EinsteinSet = field(repr=False, default=None)
 
     @property
@@ -339,7 +338,6 @@ def integrate(model, init: MetricState,
         final_rhs=(sgn * raw.final_rhs[0], sgn * raw.final_rhs[1]),
         t0=init.t,
         coeffs=c,
-        options=opts,
         einstein=es,
     )
 

@@ -166,20 +166,25 @@ class YFlow:
 
     # -- per start ---------------------------------------------------------
 
-    def run(self, y0s) -> Ends:
-        """Both ends and the singular time of the flows from (y0, 1)."""
+    def forward_end(self, y0s):
+        """The forward end of the flows from (y0, 1), with no quadrature.
+
+        Per start: the index into ``z`` of the ratio y* at the singular
+        time, the direction y moves (+1 up, -1 down, 0 for a start on an
+        Einstein direction, which stays there) and whether the whole space
+        shrinks at y* rather than the fiber alone.
+        """
         y0 = np.asarray(y0s, dtype=float).ravel()
         if not np.all(y0 > 0.0):
             raise ValueError("starting ratios must be positive")
         z, h, a, b = self.z, self.h, self.a, self.b
-        n_pts = len(z)
         # sign of H(y0) from its factors: lead < 0, the pair's factor > 0
         odd = (h % 2 == 1)
         side = np.sign(y0[:, None] - z[None, :])
         sH = -np.prod(np.where(odd[None, :], side, 1.0), axis=1)
         above = np.searchsorted(z, y0, side="right")  # first point > y0
-        fwd = np.where(sH > 0, above, above - 1)      # n_pts means inf
-        bwd = np.where(sH > 0, above - 1, above)
+        fwd = np.where(sH > 0, above, above - 1)      # len(z) means inf
+        move = np.where(sH > 0, 1, -1)
 
         # within EinsteinSet.on_root's tolerance of a root
         r = z[1:, None]
@@ -188,20 +193,28 @@ class YFlow:
             # a start on an Einstein direction stays there: a homothety
             near = 1 + np.abs(y0[:, None] - z[None, 1:]).argmin(axis=1)
             fwd = np.where(fixed, near, fwd)
-            bwd = np.where(fixed, near, bwd)
-        if np.any(fwd >= n_pts):
+            move = np.where(fixed, 0, move)
+        if np.any(fwd >= len(z)):
             raise SpaceModelError("H must be negative for large y")
 
+        x2_vanishes = np.where(b[fwd] != 0.0, b[fwd] * move < 0.0,
+                               a[fwd] > 0.0)
+        return fwd, move, fixed | ((z[fwd] > 0.0) & x2_vanishes)
+
+    def run(self, y0s) -> Ends:
+        """Both ends and the singular time of the flows from (y0, 1)."""
+        y0 = np.asarray(y0s, dtype=float).ravel()
+        fwd, move, shrinks = self.forward_end(y0)
+        z, h, a, b = self.z, self.h, self.a, self.b
+        n_pts = len(z)
+        fixed = move == 0
+        bwd = fwd - move
         zf = z[fwd]
-        s_f = np.sign(y0 - zf)
-        x2_vanishes = np.where(b[fwd] != 0.0, b[fwd] * s_f > 0.0, a[fwd] > 0.0)
-        shrinks = fixed | ((zf > 0.0) & x2_vanishes)
         type_one = fixed | (zf > 0.0) | (h[fwd] == 0)
 
         finite_b = bwd < n_pts
         jb = np.minimum(bwd, n_pts - 1)
-        s_b = np.sign(y0 - z[jb])
-        diverges = np.where(b[jb] != 0.0, b[jb] * s_b < 0.0,
+        diverges = np.where(b[jb] != 0.0, b[jb] * move < 0.0,
                             a[jb] - h[jb] <= -1.0)
         ancient = fixed | np.where(finite_b, diverges, self.a_inf >= 1.0)
         y_bwd = np.where(finite_b, z[jb], math.inf)

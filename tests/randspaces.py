@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from hrflow.spaces import TwoSummandSpace, make_space
+from hrflow.einstein import einstein_roots
+from hrflow.spaces import TwoSummandSpace, derive_coeffs, make_space
 
 
 def random_nonmaximal_space(rng: np.random.Generator,
@@ -48,3 +49,17 @@ def random_maximal_space(rng: np.random.Generator,
                         (1, 2, 2): t122, (2, 2, 2): t222},
         c=(c1, c2),
     )
+
+
+def random_starts(seed: int, n: int):
+    """n random tables, alternately non-maximal and maximal, as (derived
+    coefficients, Einstein set, y0), each with a start y0 log-uniform in
+    [0.05, 20] that is not an Einstein direction."""
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        draw = random_nonmaximal_space if i % 2 == 0 else random_maximal_space
+        c = derive_coeffs(draw(rng, f"R{i}"))
+        es = einstein_roots(c)
+        y0 = float(np.exp(rng.uniform(np.log(0.05), np.log(20.0))))
+        assert es.on_root(y0) is None
+        yield c, es, y0

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import hrflow as h
-from hrflow.classify import forward_outcome_of
 from hrflow.errors import InsufficientHorizon, NotCollapsed, OnEinsteinRoot
 from hrflow.flow import IntegrationOptions, MetricState
 
@@ -124,10 +123,12 @@ def test_insufficient_horizon_raises(fix_a):
         h.classify_trajectory(fwd, bwd, fix_a)
 
 
-def test_forward_outcome_requires_collapse(fix_a):
-    bwd = h.integrate(fix_a, MetricState(0.0, 0.75, 1.0), BWD)
+def test_blowup_limit_requires_collapse(fix_a):
+    cut = h.integrate(fix_a, MetricState(0.0, 0.7, 1.0),
+                      IntegrationOptions(max_time=0.01))
+    assert cut.termination is h.Termination.HORIZON_REACHED
     with pytest.raises(NotCollapsed):
-        forward_outcome_of(bwd)
+        h.soliton_limit(cut, h.einstein_roots(fix_a))
 
 
 # --- singular-time estimate -------------------------------------------------

@@ -258,11 +258,23 @@ def test_flow_undetermined_exit_code(tmp_path):
 @pytest.mark.parametrize("argv", [
     # forward run stopped by the horizon before it collapsed
     ("flow", "--space", "FIX-A", "--y0", "0.7", "--horizon", "0.01"),
-    # rescaled limit still drifting in the final decade before T
-    ("blowup", "--space", "FIX-D", "--y0", "1.1"),
+    # the same for the forward run that blowup steps for T_estimate
+    ("blowup", "--space", "FIX-A", "--y0", "0.7", "--horizon", "0.01"),
 ])
 def test_undetermined_runs_exit_3(tmp_path, argv):
     assert run_cli(*argv, "--out", str(tmp_path)) == 3
+
+
+def test_blowup_limit_near_repelling_root(tmp_path, capsys):
+    # regime d3: y leaves the repelling root 1 and approaches 2 only like
+    # (T - t)^0.37, yet the limit is exactly q(2)
+    code = run_cli("blowup", "--space", "FIX-D", "--y0", "1.1",
+                   "--out", str(tmp_path))
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["kind"] == "EinsteinPoint"
+    assert payload["ratio"] == pytest.approx(2.0, rel=1e-12)
+    assert payload["pair"] == pytest.approx([7.5, 3.75], rel=1e-12)
 
 
 @pytest.mark.parametrize("argv", [

@@ -51,7 +51,7 @@ GOLDEN = {
     ('SU42', 'flow'):
         '1dc5c4415c62b9d9abe2c1cd9228bb3e23cf1327e01b0d72809a2aa7bc4cdc7d',
     ('SU42', 'blowup'):
-        '4d3a2355e3703ddc5e28cd2c9ed2cb155ad422067f5ad924acbf1d531835404f',
+        '20fcba3336b6460e4dd78397e72c7862ad508c953021a83235260845c359643c',
     ('FIX-A', 'einstein'):
         '016de4ab2b9cc935a85c1202c59d7e8e7ab30c6c88aae2258faf81c200c463be',
     ('FIX-A', 'portrait'):
@@ -63,7 +63,7 @@ GOLDEN = {
     ('FIX-A', 'flow'):
         'f44da131e3cd03334323a5ca2d23925773500782f0a014d589005e09f4d405cc',
     ('FIX-A', 'blowup'):
-        'ef0079756dda4fbfc1f2cfcf0aa941c8061b5935336a20b7641b55b7fcb66419',
+        '65c57963ac7aa47e153ba3fc7338878f31efcac0f6735c351b1602d4a8763a2b',
     ('FIX-B', 'einstein'):
         '0860598a431afac9ad5eb53c9783967c303fc33daa90719584eb4f0666b99379',
     ('FIX-B', 'portrait'):
@@ -75,7 +75,7 @@ GOLDEN = {
     ('FIX-B', 'flow'):
         '95bba78acf3b7fffe8633183f5a7d93b41ee50a5845c019dc3773c22dcbf3646',
     ('FIX-B', 'blowup'):
-        'c319c9710c89ef80424d2135e3acef01664716c2d8c67e99bdd4547998469f6e',
+        '82005ca663a8a33c4f4c69d845f14db63c95f9459106f9d860d3ad09b4128d04',
     ('FIX-C0', 'einstein'):
         '7f664d39b88c03357f0a1627fce8bc30552fe827bba95040550065912da30dd7',
     ('FIX-C0', 'portrait'):
@@ -99,7 +99,7 @@ GOLDEN = {
     ('FIX-D', 'flow'):
         '892508871438a9ea1b9bfca3cd864990497581e972adde2e057c8d0c347dc44d',
     ('FIX-D', 'blowup'):
-        '03954c486ed69c33de127b735d4a76f83c80d19f476003c93b5abbf93410408b',
+        '8f69375a30f15477ec0c09fed2b6b2d8fda97b6e90db3d198abb8e096088fdec',
     ('FIX-E', 'einstein'):
         '2ea15fb2a86c63086d3efbe04637b0c252ba9b77825599089f6c51ebcfc35b4c',
     ('FIX-E', 'portrait'):
@@ -111,7 +111,7 @@ GOLDEN = {
     ('FIX-E', 'flow'):
         '1dd61c944bf6aaef1dbec07ee5676f0876de70046ca9e04a9e8c97b7d006e922',
     ('FIX-E', 'blowup'):
-        '6c2d01e4975610b8a517026a2581d65c1879a999ba982a6db2253080bf10662a',
+        '021c7de30df145273a81b85c01508ddb67b469b2e081e8e2ad6284b2afc11514',
     ('FIX-E2', 'einstein'):
         '5d214c83eeeb84ffa4698c875fa70260e2651f95a4c36b4a865ecf2f6fb5d6d9',
     ('FIX-E2', 'portrait'):
@@ -123,7 +123,7 @@ GOLDEN = {
     ('FIX-E2', 'flow'):
         '03e828198f10d238d11c1f10ce87df81cb7ff19ec88f88cc5200088450ea01f5',
     ('FIX-E2', 'blowup'):
-        'ee40ef4bb2fafff28d811a46f4008741d1170f01a2228a617bfb0e024751a9db',
+        '1688860c4773ecbc763fbb5f8e19393f5fcd6cbbbd3af603c80d2bcfeecaa99e',
     ('FIX-F', 'einstein'):
         '2d4e3794f37c1f8e72d9c22977d69977755ccd97f42eeef82fbbf79e6af16561',
     ('FIX-F', 'portrait'):
@@ -135,7 +135,7 @@ GOLDEN = {
     ('FIX-F', 'flow'):
         'd2571fdae555b30827fc5fdaabd59ece9da859451316b735fb8bbf289b138d42',
     ('FIX-F', 'blowup'):
-        '9c4f25355b49a8e5c34b3511c4f7aa4f8202c44f53948b9eb226eb01a2e67ddd',
+        'd31be9f3dd39822ce4bf229bf8517287d3d4575332fca092719700734a0e0511',
 }
 
 

@@ -2,7 +2,6 @@
 DOP853 on the planar system for the singular time, and the case table of
 ``predicted_report`` for every verdict, on seeded random valid tables."""
 
-import numpy as np
 import pytest
 
 import hrflow as h
@@ -12,25 +11,12 @@ from hrflow.flow import MetricState
 from hrflow.yflow import YFlow
 
 from oracles import dop853_singular_time
-from randspaces import random_maximal_space, random_nonmaximal_space
-
-
-def _draws(seed: int, n: int):
-    """n random tables, alternately non-maximal and maximal, each with a
-    start y0 log-uniform in [0.05, 20] that is not an Einstein direction."""
-    rng = np.random.default_rng(seed)
-    for i in range(n):
-        draw = random_nonmaximal_space if i % 2 == 0 else random_maximal_space
-        c = h.derive_coeffs(draw(rng, f"R{i}"))
-        es = h.einstein_roots(c)
-        y0 = float(np.exp(rng.uniform(np.log(0.05), np.log(20.0))))
-        assert es.on_root(y0) is None
-        yield c, es, y0
+from randspaces import random_starts
 
 
 def test_singular_time_against_dop853():
     errs = []
-    for c, es, y0 in _draws(11, 200):
+    for c, es, y0 in random_starts(11, 200):
         T = YFlow(c, es).run([y0]).T[0]
         ref = dop853_singular_time(c, y0)
         errs.append(abs(T - ref) / ref)
@@ -39,7 +25,7 @@ def test_singular_time_against_dop853():
 
 def test_reports_agree_with_case_table():
     bad = []
-    for c, es, y0 in _draws(2, 400):
+    for c, es, y0 in random_starts(2, 400):
         regime = h.regime_of(c, es, None, y0)
         (rep,) = classify_starts(c, es, [y0], [regime])
         pred = h.predicted_report(regime, es, c)
