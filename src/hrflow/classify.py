@@ -25,10 +25,6 @@ from .flow import Termination, Trajectory
 from .spaces import Coefficients
 from .yflow import YFlow
 
-#: y0 closer than this to a root is a fixed direction, not a regime member
-ROOT_NEIGHBOURHOOD = 1e-9
-
-
 class Outcome(Enum):
     SHRINK_TO_POINT = "ShrinkToPoint"
     FIBER_COLLAPSE = "FiberCollapse"
@@ -99,7 +95,8 @@ def regime_of(coeffs: Coefficients, einstein: EinsteinSet,
     """
     if y0 <= 0:
         raise ValueError(f"y0 must be positive, got {y0}")
-    hit = einstein.on_root(y0, ROOT_NEIGHBOURHOOD)
+    # the tolerance of YFlow.forward_end, which calls such a start fixed
+    hit = einstein.on_root(y0)
     if hit is not None:
         raise OnEinsteinRoot(f"y0 = {y0} sits on the fixed direction {hit}")
 
@@ -223,10 +220,11 @@ def classify_trajectory(fwd: Trajectory, bwd: Trajectory | None,
     """The behaviour report of the flow that ``fwd`` starts.
 
     The forward trajectory must have collapsed, and a backward trajectory,
-    when given, must not have run out of steps; without one the ancient
-    fields stay unset.  The verdicts and the singular time come from the
-    closed form along y for the start ``fwd.y[0]``, with T scaled by
-    ``fwd.x2[0]``; the trajectories themselves are not read further.
+    when given, must not have run out of steps (a horizon or a runaway
+    ending is fine); without one the ancient fields stay unset.  The
+    verdicts and the singular time come from the closed form along y for
+    the start ``fwd.y[0]``, with T scaled by ``fwd.x2[0]``; the
+    trajectories themselves are not read further.
     """
     if not fwd.termination.is_collapse:
         raise NotCollapsed(f"trajectory ended with {fwd.termination.value}")

@@ -105,14 +105,8 @@ def _range(text: str, flag: str) -> tuple[float, float]:
 
 
 def _options_from(args, direction: Direction) -> IntegrationOptions:
-    return IntegrationOptions(
-        direction=direction,
-        rel_tol=args.rel_tol,
-        abs_tol=args.abs_tol,
-        collapse_epsilon=args.collapse_eps,
-        max_time=args.horizon,
-        max_steps=args.max_steps,
-    )
+    return IntegrationOptions(direction=direction, max_time=args.horizon,
+                              max_steps=args.max_steps)
 
 
 def _initial_state(args) -> MetricState:
@@ -359,9 +353,6 @@ def _space_flags(p: argparse.ArgumentParser) -> None:
 
 def _integration_flags(p: argparse.ArgumentParser) -> None:
     opts = IntegrationOptions()
-    p.add_argument("--rel-tol", type=float, default=opts.rel_tol)
-    p.add_argument("--abs-tol", type=float, default=opts.abs_tol)
-    p.add_argument("--collapse-eps", type=float, default=opts.collapse_epsilon)
     p.add_argument("--horizon", type=float, default=opts.max_time)
     p.add_argument("--max-steps", type=int, default=opts.max_steps)
 

@@ -29,10 +29,6 @@ class OnEinsteinRoot(HrflowError):
     """An operation was evaluated too close to a fixed flow direction."""
 
 
-class BlowupDetected(HrflowError):
-    """The state norm exceeded the runaway guard, signalling bad input."""
-
-
 class NotCollapsed(HrflowError):
     """A collapse-only operation received a trajectory without a collapse."""
 

@@ -1,11 +1,14 @@
 """Vector fields, curvature diagnostics and trajectory integration.
 
 The flow of invariant metrics reduces to a planar system in the metric
-coefficients (x1, x2) on the two isotropy summands.  Forward integration
-runs until a coefficient reaches the collapse threshold; backward
-integration probes ancient existence by reversing the vector field.
-Both isotropy kinds run through the one planar-field form of
-``spaces.PlanarField``.
+coefficients (x1, x2) on the two isotropy summands, whose field depends on
+y = x1/x2 alone.  Forward integration runs until a coefficient reaches the
+collapse threshold; backward integration probes ancient existence by
+reversing the vector field.  Every run steps x/x2(0) from (y0, 1), so its
+thresholds are in units of the starting x2 and a run at any scale takes
+the same steps.  Each sample carries the first integral exp(Phi(y))/x2,
+with Phi from the closed form of ``yflow``.  Both isotropy kinds run
+through the one planar-field form of ``spaces.PlanarField``.
 """
 
 from __future__ import annotations
@@ -22,11 +25,11 @@ from .errors import DomainError, NonpositiveC, OnEinsteinRoot, SpaceModelError
 from .spaces import (
     Coefficients,
     GeneralSpace,
-    NonMaxCoeffs,
     PlanarField,
     TwoSummandSpace,
     derive_coeffs,
 )
+from .yflow import YFlow
 
 #: a collapse counts as simultaneous when the co-vanishing coordinate is
 #: within this factor of the collapse threshold at the event
@@ -44,6 +47,9 @@ class Termination(Enum):
     COLLAPSE_BOTH = "CollapseBoth"
     HORIZON_REACHED = "HorizonReached"
     STEP_LIMIT = "StepLimit"
+    #: the state norm crossed the stepper's guard: a coefficient runs off to
+    #: infinity, as a backward flow can in finite time
+    RUNAWAY = "Runaway"
 
     @property
     def is_collapse(self) -> bool:
@@ -225,49 +231,30 @@ def _kappa_arrays(x1, x2, c: Coefficients):
 
 
 # ---------------------------------------------------------------------------
-# first integrals of the non-maximal flow
+# the first integral along y
 
 
-def first_integral(state: MetricState, c: NonMaxCoeffs,
-                   es: EinsteinSet | None = None) -> float | None:
-    """Conserved quantity of the non-maximal flow, when one exists.
+def first_integral(state: MetricState, c: Coefficients,
+                   es: EinsteinSet | None = None) -> float:
+    """exp(Phi(y))/x2, conserved along every flow of both kinds.
 
-    With two homothety directions y1 < y2 the flow conserves
-    (1/x2) * |y - y1|^p1 * |y2 - y|^p2; with a double direction it conserves
-    (1/x2) * exp(-(D - y) / ((A+B)(y - ybar))) * |y - ybar|^(-1/(A+B)).
-    Returns None when no positive direction pair exists.
+    Phi is the integral of f2/H over y (``YFlow.log_x2``), so
+    d ln x2/dy = f2/H makes ln x2 - Phi(y) constant.  Raises
+    OnEinsteinRoot within ROOT_EXCLUSION of a root, where Phi diverges.
     """
-    if c.planar.maximal:
-        raise SpaceModelError("first integrals exist only for the non-maximal kind")
     if es is None:
         es = einstein_roots(c)
-    if es.case_label not in ("a", "b"):
-        return None
     hit = es.on_root(state.y)
     if hit is not None:
         raise OnEinsteinRoot(
             f"y = {state.y} is within tolerance of the root {hit}")
-    val = _first_integral_arrays(
-        np.asarray(state.x2, dtype=float), np.asarray(state.y, dtype=float),
-        c, es)
-    return float(val)
+    return float(_first_integral_of(YFlow(c, es), state.x2, state.y))
 
 
-def _first_integral_arrays(x2, y, c: NonMaxCoeffs, es: EinsteinSet):
-    p = c.planar
-    A, B, D = p.a2, p.b1, p.b0
-    s = A + B
-    if es.case_label == "a":
-        y1, y2 = es.values
-        ratio = (D - B * y2) / (y2 - y1)
-        p1 = -(B + ratio) / s
-        p2 = ratio / s
-        with np.errstate(divide="ignore", over="ignore"):
-            return (np.abs(y - y1) ** p1) * (np.abs(y2 - y) ** p2) / x2
-    ybar = es.values[0]
-    with np.errstate(divide="ignore", over="ignore"):
-        return (np.exp(-(D - y) / (s * (y - ybar)))
-                * np.abs(y - ybar) ** (-1.0 / s)) / x2
+def _first_integral_of(yf: YFlow, x2, y):
+    """exp(Phi(y))/x2, NaN where it would not be a normal float."""
+    log_val = yf.log_x2(y) - np.log(x2)
+    return np.exp(np.where(np.abs(log_val) < 708.0, log_val, np.nan))
 
 
 # ---------------------------------------------------------------------------
@@ -287,45 +274,50 @@ def as_coefficients(model) -> Coefficients:
 
 def integrate(model, init: MetricState,
               opts: IntegrationOptions | None = None) -> Trajectory:
-    """Integrate the planar flow from init until collapse, horizon or budget.
+    """Integrate the planar flow from init until collapse, horizon, runaway
+    or budget.
 
-    Backward runs integrate the time-reversed field in the elapsed
-    variable and report decreasing time stamps.  Collapse events are
-    localised to within 1e-10 in time; for collapse endings the
-    singular-time estimate comes from linear extrapolation of the vanishing
-    coordinate, which vanishes linearly along these flows.
+    The field depends on y alone, so the run steps u = x/x2(0) from (y0, 1)
+    in s = |t - t0|/x2(0) and scales back; the collapse threshold, the
+    absolute tolerance, the horizon and the norm guard are in units of
+    x2(0).  Backward runs integrate the time-reversed field.  A collapse
+    ending estimates the singular time by linear extrapolation of the
+    vanishing coordinate.  The first integral is NaN within ROOT_EXCLUSION
+    of a root and wherever it would not be a normal float.
     """
     opts = opts or IntegrationOptions()
     c = as_coefficients(model)
     eps = opts.collapse_epsilon
-    if min(init.x1, init.x2) <= eps:
+    scale = init.x2
+    if not (scale > 0.0 and min(init.x1 / scale, 1.0) > eps):
         raise DomainError(
-            f"initial state {init} is already at the collapse threshold {eps}")
+            f"initial state {init} is already at the collapse threshold "
+            f"{eps} (in units of x2)")
+    y0 = init.x1 / scale
     backward = opts.direction is Direction.BACKWARD
     f = make_rhs(c.planar.time_reversed() if backward else c)
 
     raw = stepper.run_adaptive(
-        f, (init.x1, init.x2), opts.max_time,
+        f, (y0, 1.0), opts.max_time,
         rtol=opts.rel_tol, atol=opts.abs_tol, eps=eps,
         max_steps=opts.max_steps,
     )
 
     sgn = -1.0 if backward else 1.0
-    s = np.asarray(raw.s)
-    x1 = np.asarray(raw.x1)
-    x2 = np.asarray(raw.x2)
-    t = init.t + sgn * s
-    y = x1 / x2
+    u1 = np.asarray(raw.x1)
+    u2 = np.asarray(raw.x2)
+    x1 = scale * u1
+    x2 = scale * u2
+    t = init.t + sgn * (scale * np.asarray(raw.s))
+    y = u1 / u2
 
-    termination, t_est = _terminal_info(raw, opts, init.t, sgn)
+    termination, t_est = _terminal_info(raw, opts, init.t, sgn, scale)
     es = einstein_roots(c)
+    guard = np.ones_like(y, dtype=bool)
+    for r, _ in es.roots:
+        guard &= np.abs(y - r) > ROOT_EXCLUSION * (1.0 + abs(r))
     lam = np.full_like(x1, np.nan)
-    if es.case_label in ("a", "b"):
-        guard = np.ones_like(y, dtype=bool)
-        for r, _ in es.roots:
-            guard &= np.abs(y - r) > ROOT_EXCLUSION * (1.0 + abs(r))
-        if np.any(guard):
-            lam[guard] = _first_integral_arrays(x2[guard], y[guard], c, es)
+    lam[guard] = _first_integral_of(YFlow(c, es), x2[guard], y[guard])
 
     return Trajectory(
         direction=opts.direction,
@@ -342,12 +334,17 @@ def integrate(model, init: MetricState,
     )
 
 
+_OPEN_ENDINGS = {
+    "horizon": Termination.HORIZON_REACHED,
+    "step_limit": Termination.STEP_LIMIT,
+    "runaway": Termination.RUNAWAY,
+}
+
+
 def _terminal_info(raw: stepper.RawRun, opts: IntegrationOptions,
-                   t0: float, sgn: float):
-    if raw.status == "horizon":
-        return Termination.HORIZON_REACHED, None
-    if raw.status == "step_limit":
-        return Termination.STEP_LIMIT, None
+                   t0: float, sgn: float, scale: float):
+    if raw.status in _OPEN_ENDINGS:
+        return _OPEN_ENDINGS[raw.status], None
     eps = opts.collapse_epsilon
     u = (raw.x1[-1], raw.x2[-1])
     near = eps * SIMULTANEOUS_FACTOR
@@ -364,7 +361,7 @@ def _terminal_info(raw: stepper.RawRun, opts: IntegrationOptions,
     t_est = None
     if slope < 0.0:
         s_zero = raw.s[-1] + xv / -slope
-        t_est = t0 + sgn * s_zero
+        t_est = t0 + sgn * (scale * s_zero)
     return term, t_est
 
 

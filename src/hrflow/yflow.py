@@ -164,6 +164,20 @@ class YFlow:
         self.lead = lead
         self.y2f2 = y2f2
 
+    def log_x2(self, y):
+        """Phi(y), the integral of f2/H up to a constant, so that
+        exp(Phi(y))/x2 is conserved: the sum over z of a*ln|y - z| - b/(y - z)
+        plus, for a pair p, 2*Re[pa*ln(y - p)] less its constant pi*Im(pa),
+        which centres its arctan.  y must avoid the points of ``z``."""
+        y = np.asarray(y, dtype=float)
+        g = y[..., None] - self.z
+        out = (self.a * np.log(np.abs(g)) - self.b / g).sum(axis=-1)
+        if self.pair is not None:
+            pa, p = self.pair_a, self.pair
+            out = out + (pa.real * np.log(self._quad(y)) - 2.0 * pa.imag
+                         * np.arctan((y - p.real) / p.imag))
+        return out
+
     # -- per start ---------------------------------------------------------
 
     def forward_end(self, y0s):

@@ -265,6 +265,39 @@ def test_undetermined_runs_exit_3(tmp_path, argv):
     assert run_cli(*argv, "--out", str(tmp_path)) == 3
 
 
+def _payload(tmp_path, *argv) -> dict:
+    """Exit code 0 and the report or blow-up JSON of one command run in a
+    fresh output directory."""
+    out = tmp_path / str(len(list(tmp_path.iterdir())))
+    assert run_cli(*argv, "--out", str(out)) == 0
+    (path,) = [p for p in out.iterdir()
+               if p.name.endswith(("_report.json", "_blowup.json"))]
+    return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("command", [("flow", "--backward"), ("blowup",)])
+@pytest.mark.parametrize("start,lam", [
+    (("--x1", "7000", "--x2", "10000"), 1e4),
+    (("--y0", "0.7", "--scale", "1e-9"), 1e-9),
+])
+def test_runs_are_scale_free(tmp_path, command, start, lam):
+    # x -> lam*x takes t -> lam*t; the thresholds are in units of x2(0)
+    base = _payload(tmp_path, *command, "--space", "FIX-A", "--y0", "0.7")
+    got = _payload(tmp_path, *command, "--space", "FIX-A", *start)
+    assert got.pop("T_estimate") / lam == pytest.approx(
+        base.pop("T_estimate"), rel=1e-12)
+    assert got == base
+
+
+def test_backward_runaway_exits_0(tmp_path, t285):
+    # the backward flow of this case-f table reaches infinity in finite time
+    path = tmp_path / "t285.json"
+    h.dump_space(t285, str(path))
+    report = _payload(tmp_path, "flow", "--space", str(path), "--backward",
+                      "--y0", "0.23869060412924192")
+    assert report["ancient_exists"] is False
+
+
 def test_blowup_limit_near_repelling_root(tmp_path, capsys):
     # regime d3: y leaves the repelling root 1 and approaches 2 only like
     # (T - t)^0.37, yet the limit is exactly q(2)
@@ -285,6 +318,9 @@ def test_blowup_limit_near_repelling_root(tmp_path, capsys):
     ("sweep", "--space", "FIX-A", "--format", "csv"),
     ("sweep", "--space", "FIX-A", "--horizon", "5"),
     ("blowup", "--space", "FIX-A", "--y0", "1", "--seed", "3"),
+    # tolerances are library options, not flags
+    ("flow", "--space", "FIX-A", "--y0", "1", "--rel-tol", "1e-9"),
+    ("blowup", "--space", "FIX-A", "--y0", "1", "--collapse-eps", "1e-6"),
     # prefixes of flags the subcommand does take
     ("sweep", "--space", "FIX-A", "--y0", "0.5,2", "--count", "2"),
     ("portrait", "--space", "FIX-A", "--x1", "0.1,2"),

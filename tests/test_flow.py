@@ -1,18 +1,25 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 import hrflow as h
+from hrflow import stepper
 from hrflow.errors import (
-    BlowupDetected,
     DomainError,
     NonpositiveC,
     OnEinsteinRoot,
     SpaceModelError,
 )
-from hrflow.flow import IntegrationOptions, MetricState
+from hrflow.flow import IntegrationOptions, MetricState, make_rhs
 
 from oracles import scipy_trajectory
-from randspaces import random_maximal_space, random_nonmaximal_space
+from randspaces import (
+    random_maximal_space,
+    random_nonmaximal_space,
+    random_starts,
+)
 
 FWD = IntegrationOptions()
 BWD = IntegrationOptions(direction=h.Direction.BACKWARD)
@@ -108,14 +115,23 @@ def test_first_integral_closed_form(fix_a):
         assert h.first_integral(st, fix_a, es) == pytest.approx(want, rel=1e-13)
 
 
-def test_first_integral_none_and_refusal(su42, fix_a):
-    assert h.first_integral(MetricState(0.0, 1.0, 1.0), su42) is None
+#: a start off every Einstein root on each catalog fixture
+OFF_ROOT = {"SU42": 1.0, "FIX-A": 0.7, "FIX-B": 0.3, "FIX-C0": 0.8,
+            "FIX-D": 1.5, "FIX-E": 0.9, "FIX-E2": 1.2, "FIX-F": 1.0}
+
+
+def test_first_integral_every_kind_and_refusal(spaces, fix_a):
+    # one conserved quantity for both kinds and every case, homogeneous of
+    # degree -1 like 1/x2
+    for name, y0 in OFF_ROOT.items():
+        c = h.derive_coeffs(spaces[name])
+        val = h.first_integral(MetricState(0.0, y0, 1.0), c)
+        assert type(val) is float and 0.0 < val < math.inf, name
+        assert h.first_integral(MetricState(0.0, 4.0 * y0, 4.0), c) == \
+            pytest.approx(val / 4.0, rel=1e-12)
     es = h.quadratic_einstein_roots(fix_a)
     with pytest.raises(OnEinsteinRoot):
         h.first_integral(MetricState(0.0, 0.5 + 1e-12, 1.0), fix_a, es)
-    with pytest.raises(SpaceModelError):
-        h.first_integral(MetricState(0.0, 1.0, 1.0),
-                         h.derive_coeffs(h.get_space("FIX-D")))
 
 
 def test_integrate_su42_forward(su42):
@@ -179,8 +195,9 @@ def test_backward_forward_round_trip(fix_a):
     opts = IntegrationOptions(direction=h.Direction.BACKWARD, max_time=5.0)
     back = h.integrate(fix_a, MetricState(0.0, 0.75, 1.0), opts)
     end = back.final_state
+    # the horizon is in units of the starting x2
     fwd = h.integrate(fix_a, MetricState(0.0, end.x1, end.x2),
-                      IntegrationOptions(max_time=5.0))
+                      IntegrationOptions(max_time=5.0 / end.x2))
     i = np.searchsorted(fwd.t, 5.0)
     x1 = np.interp(5.0, fwd.t, fwd.x1)
     x2 = np.interp(5.0, fwd.t, fwd.x2)
@@ -196,6 +213,43 @@ def test_first_integral_conserved_along_flow(fix_a):
     vals = lam[win]
     assert len(vals) > 20
     assert (vals.max() - vals.min()) / np.median(vals) < 1e-6
+
+
+def _window_spread(traj):
+    """Relative spread of the first integral over acceptance criterion
+    04's window 1e-4*T <= T - t <= 1e-1*T, and the largest |y*f2/H| there:
+    the factor by which a relative error of y becomes one of the integral,
+    since d ln x2/dy = f2/H.  The spread is None on an empty window."""
+    lam, T = traj.first_integral, traj.T_estimate
+    gap = T - traj.t
+    win = np.isfinite(lam) & (gap >= 1e-4 * T) & (gap <= 1e-1 * T)
+    if not win.any():
+        return None, 0.0
+    vals, y = lam[win], traj.y[win]
+    f1, f2 = make_rhs(traj.coeffs)(y, np.ones_like(y))
+    cond = float(np.max(np.abs(y * f2 / (f1 - y * f2))))
+    return float((vals.max() - vals.min()) / np.median(vals)), cond
+
+
+def test_first_integral_conserved_on_every_case():
+    # case b with B = 2, where a formula conserved only for B = 1 drifts
+    sp = h.make_space("B2", d=(1, 4), b=(Fraction(19, 2), 6),
+                      triple_entries={(1, 2, 2): 8})
+    c = h.derive_coeffs(sp)
+    assert h.einstein_roots(c).roots == ((0.5, 2),) and c.planar.b1 == 2.0
+    for y0 in (0.125, 1.0):
+        spread, _ = _window_spread(h.integrate(c, MetricState(0.0, y0, 1.0)))
+        assert spread < 1e-6
+    for c, es, y0 in random_starts(3, 200):
+        init = MetricState(0.0, y0, 1.0)
+        lam = h.integrate(c, init, BWD).first_integral
+        lam = lam[np.isfinite(lam)]
+        assert len(lam) >= 2 and (lam.max() - lam.min()) / lam[0] < 1e-6
+        # forward, y nears a simple root so closely inside the window that
+        # the stepper's own error in y (rtol 1e-10) dominates: bound the
+        # spread by that error, with a margin of 100, times the conditioning
+        spread, cond = _window_spread(h.integrate(c, init))
+        assert spread is None or spread <= 1e-6 + 1e-8 * cond, (es, y0)
 
 
 def test_region_invariance_nonmaximal(su42):
@@ -249,26 +303,40 @@ def test_trajectory_csv_format(tmp_path, su42):
     lines = path.read_text().splitlines()
     assert lines[0] == "t,x1,x2,y,R,kappa,first_integral"
     assert len(lines) == traj.n_samples + 1
-    # su42 has no conserved quantity: the last column stays empty
-    assert lines[1].endswith(",")
     cells = lines[1].split(",")
     assert float(cells[1]) == traj.x1[0]
+    # su42 (case c) has a first integral too
+    assert float(cells[6]) == pytest.approx(
+        h.first_integral(traj.state(0), su42), rel=1e-15)
 
 
 def test_integrate_guards(su42):
-    with pytest.raises(DomainError):
-        h.integrate(su42, MetricState(0.0, 1e-9, 1.0))
+    for x1, x2 in ((1e-9, 1.0), (1e-6, 1e3), (-1.0, -1.0), (1.0, 0.0)):
+        with pytest.raises(DomainError):
+            h.integrate(su42, MetricState(0.0, x1, x2))
     with pytest.raises(SpaceModelError):
         h.integrate("not a space", MetricState(0.0, 1.0, 1.0))
 
 
-def test_norm_guard_raises_on_runaway_field():
-    from hrflow import stepper
+def test_norm_guard_ends_a_runaway_field():
+    raw = stepper.run_adaptive(lambda a, b: (a, b), (1.0, 1.0), 100.0,
+                               rtol=1e-8, atol=1e-10, eps=1e-8,
+                               max_steps=100_000)
+    # the last state is the one before the step that crosses the guard
+    assert raw.status == "runaway"
+    assert 1e10 < max(raw.x1[-1], raw.x2[-1]) <= stepper.NORM_GUARD
 
-    with pytest.raises(BlowupDetected):
-        stepper.run_adaptive(lambda a, b: (a, b), (1.0, 1.0), 100.0,
-                             rtol=1e-8, atol=1e-10, eps=1e-8,
-                             max_steps=100_000)
+
+def test_backward_runaway_is_an_ending(t285):
+    # case f with a_inf < 0: backward, y runs to infinity and x1 with it in
+    # finite time
+    c = h.derive_coeffs(t285)
+    init = MetricState(0.0, 0.23869060412924192, 1.0)
+    bwd = h.integrate(c, init, BWD)
+    assert bwd.termination is h.Termination.RUNAWAY
+    assert bwd.T_estimate is None and bwd.x1[-1] > 1e11
+    rep = h.classify_trajectory(h.integrate(c, init), bwd, c)
+    assert rep.ancient_exists is False
 
 
 def test_steep_backward_collapse_still_terminates():

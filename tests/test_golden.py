@@ -49,7 +49,7 @@ GOLDEN = {
     ('SU42', 'sweep-random'):
         'cb89f03a548ff05a540b69f3114c56114d7e21c3f1855d15d7e3983808b74b20',
     ('SU42', 'flow'):
-        '1dc5c4415c62b9d9abe2c1cd9228bb3e23cf1327e01b0d72809a2aa7bc4cdc7d',
+        'b3bc7d8c76f88bda8c8c3ac5d43f1f9dfe1162e1651f4d9f80bb36f287900b83',
     ('SU42', 'blowup'):
         '20fcba3336b6460e4dd78397e72c7862ad508c953021a83235260845c359643c',
     ('FIX-A', 'einstein'):
@@ -61,7 +61,7 @@ GOLDEN = {
     ('FIX-A', 'sweep-random'):
         'ac1a1320dd68f061c590c6f7c494e1427e64f0519974979f91b9da33c51551ad',
     ('FIX-A', 'flow'):
-        'f44da131e3cd03334323a5ca2d23925773500782f0a014d589005e09f4d405cc',
+        '9b2476e6e13e49b0de15bb6e2967785bcb9d1bd2a338dbcae2304520636b2b91',
     ('FIX-A', 'blowup'):
         '65c57963ac7aa47e153ba3fc7338878f31efcac0f6735c351b1602d4a8763a2b',
     ('FIX-B', 'einstein'):
@@ -73,7 +73,7 @@ GOLDEN = {
     ('FIX-B', 'sweep-random'):
         'cf8cd90c637ea7de641aa7fc5e8fdbe02368653c530cdab042ffe513e18a099c',
     ('FIX-B', 'flow'):
-        '95bba78acf3b7fffe8633183f5a7d93b41ee50a5845c019dc3773c22dcbf3646',
+        'b79c480d4aa34b9c7b681e3c144573ece6a4eed50f54f7f2d995980b530ce69e',
     ('FIX-B', 'blowup'):
         '82005ca663a8a33c4f4c69d845f14db63c95f9459106f9d860d3ad09b4128d04',
     ('FIX-C0', 'einstein'):
@@ -85,7 +85,7 @@ GOLDEN = {
     ('FIX-C0', 'sweep-random'):
         'fc0c5cc9c4044af3465e1e1109de077d2077cdff81e0153ec0dff24895b09e10',
     ('FIX-C0', 'flow'):
-        'cd3498244c05427c40ee001de230b623770530d67ea4f39f8e6fe7a0ee877a65',
+        '8fbfbf645a4da43ced25764b872aee4e899235f1165c7ebc94982c1c820652a8',
     ('FIX-C0', 'blowup'):
         '9ddc426c16377a6478329a79002af9f88cd524d50fc6be76ecd16a5e33b62d46',
     ('FIX-D', 'einstein'):
@@ -97,7 +97,7 @@ GOLDEN = {
     ('FIX-D', 'sweep-random'):
         '0b5f7f650505e4809839f20a71166e39cc1b3ba542b6d56a020bebb26bb3f075',
     ('FIX-D', 'flow'):
-        '892508871438a9ea1b9bfca3cd864990497581e972adde2e057c8d0c347dc44d',
+        '865eab42877c61fea3c6b08da88862426575495d8e5ee80b9d05ef95467bc5e9',
     ('FIX-D', 'blowup'):
         '8f69375a30f15477ec0c09fed2b6b2d8fda97b6e90db3d198abb8e096088fdec',
     ('FIX-E', 'einstein'):
@@ -109,7 +109,7 @@ GOLDEN = {
     ('FIX-E', 'sweep-random'):
         '1c22349bf6e83ed497d91a19aef5d3aef6d7b1420751ec4050c6e573da65f5ce',
     ('FIX-E', 'flow'):
-        '1dd61c944bf6aaef1dbec07ee5676f0876de70046ca9e04a9e8c97b7d006e922',
+        'a9b6f256976c8af0bce849e8f4b301dd4661fdf64aff3d403c6bdf5b257d706c',
     ('FIX-E', 'blowup'):
         '021c7de30df145273a81b85c01508ddb67b469b2e081e8e2ad6284b2afc11514',
     ('FIX-E2', 'einstein'):
@@ -121,7 +121,7 @@ GOLDEN = {
     ('FIX-E2', 'sweep-random'):
         '1122bc8a87b0887d2e0b8088f6927a66744dfd935b590a0c956558019858891a',
     ('FIX-E2', 'flow'):
-        '03e828198f10d238d11c1f10ce87df81cb7ff19ec88f88cc5200088450ea01f5',
+        '264e8af722abb263ce2eb5814708133ab85796ff281321d7b8834d04c0ac73ae',
     ('FIX-E2', 'blowup'):
         '1688860c4773ecbc763fbb5f8e19393f5fcd6cbbbd3af603c80d2bcfeecaa99e',
     ('FIX-F', 'einstein'):
@@ -133,7 +133,7 @@ GOLDEN = {
     ('FIX-F', 'sweep-random'):
         '0eafd03c8ee61e5ddb948c78a833acf248e1bf4d6480c058ed2e8f8067a44ae8',
     ('FIX-F', 'flow'):
-        'd2571fdae555b30827fc5fdaabd59ece9da859451316b735fb8bbf289b138d42',
+        '0ad6c2d4183ad8a6e69aa6e35662838b91a689f0b85f0f2ef8e25d8f83f81020',
     ('FIX-F', 'blowup'):
         'd31be9f3dd39822ce4bf229bf8517287d3d4575332fca092719700734a0e0511',
 }

@@ -16,8 +16,8 @@ import math
 
 import pytest
 
-from hrflow.errors import BlowupDetected, DomainError
-from hrflow.stepper import run_adaptive
+from hrflow.errors import DomainError
+from hrflow.stepper import NORM_GUARD, run_adaptive
 
 DEFAULTS = dict(rtol=1e-3, atol=1e-14, eps=1e-8, max_steps=100_000)
 
@@ -67,6 +67,7 @@ CASES = {
     "step-limit": (relaxing, (1.0, 1.0), 5.0, {"rtol": 1e-8, "max_steps": 3}),
     "stagnation-step-limit": (switching, (1.0, 1.0), 5.0,
                               {"rtol": 0.0, "atol": 1e-20}),
+    "runaway": (runaway, (1.0, 1.0), 5.0, {"rtol": 1e-8}),
 }
 
 GOLDEN = {
@@ -82,6 +83,8 @@ GOLDEN = {
         'cd4427b6233b9a85f86d4cc7878d4f96c1d0bb86477fdba46b4efe5b69df77b1',
     'stagnation-step-limit':
         'e3097a4ca1833fd235520d97691efe5f02573434e616986dfa58ea6a2ba5e38c',
+    'runaway':
+        'cd1bb647d6fcbf1f4d291f90357c3b8ec1f15bdf33986695858798db855598af',
 }
 
 #: name -> (status, n_steps, n_rejected, n_halved, stagnated)
@@ -92,6 +95,7 @@ COUNTS = {
     "horizon": ("horizon", 20, 0, 0, False),
     "step-limit": ("step_limit", 3, 0, 0, False),
     "stagnation-step-limit": ("step_limit", 119, 66, 1, True),
+    "runaway": ("runaway", 413, 0, 0, False),
 }
 
 
@@ -118,9 +122,12 @@ def test_branch_counts(name):
             raw.stagnated) == COUNTS[name]
 
 
-def test_norm_guard_raises():
-    with pytest.raises(BlowupDetected, match="exceeded 1e"):
-        run_adaptive(runaway, (1.0, 1.0), 5.0, **{**DEFAULTS, "rtol": 1e-8})
+def test_norm_guard_ends_the_run():
+    # the run stops at the last state before the step that crosses the guard
+    raw = run("runaway")
+    assert raw.status == "runaway" and raw.event_coord is None
+    assert raw.x1[-1] <= NORM_GUARD and raw.final_rhs[0] == raw.x1[-1] ** 2
+    assert raw.x1[-1] > 1e11 and abs(raw.s[-1] - 1.0) < 1e-6
 
 
 def test_nan_error_estimate_raises():

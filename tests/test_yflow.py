@@ -2,7 +2,10 @@
 DOP853 on the planar system for the singular time, and the case table of
 ``predicted_report`` for every verdict, on seeded random valid tables."""
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import hrflow as h
 from hrflow import classify, cli, flow, stepper
@@ -11,7 +14,11 @@ from hrflow.flow import MetricState
 from hrflow.yflow import YFlow
 
 from oracles import dop853_singular_time
-from randspaces import random_starts
+from randspaces import (
+    random_maximal_space,
+    random_nonmaximal_space,
+    random_starts,
+)
 
 
 def test_singular_time_against_dop853():
@@ -86,6 +93,41 @@ def test_report_scales_with_the_metric(fix_a):
         assert rep["T_estimate"] / lam == pytest.approx(base["T_estimate"],
                                                         rel=1e-12)
         assert rep | {"T_estimate": None} == base | {"T_estimate": None}
+
+
+def _report(c, es, init):
+    fwd = h.integrate(c, init)
+    bwd = h.integrate(c, init, h.IntegrationOptions(
+        direction=h.Direction.BACKWARD))
+    return h.classify_trajectory(fwd, bwd, c, es)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), maximal=st.booleans(),
+       ln_y0=st.floats(np.log(0.05), np.log(20.0)),
+       ln_lam=st.floats(np.log(1e-6), np.log(1e6)))
+def test_random_reports_are_scale_free(seed, maximal, ln_y0, ln_lam):
+    draw = random_maximal_space if maximal else random_nonmaximal_space
+    c = h.derive_coeffs(draw(np.random.default_rng(seed)))
+    es = h.einstein_roots(c)
+    y0, lam = float(np.exp(ln_y0)), float(np.exp(ln_lam))
+    assume(es.on_root(y0) is None)
+    base = _report(c, es, MetricState(0.0, y0, 1.0))
+    rep = _report(c, es, MetricState(0.0, y0 * lam, lam))
+    assert rep.T_estimate / lam == pytest.approx(base.T_estimate, rel=1e-12)
+    assert rep.to_dict() | {"T_estimate": None} == \
+        base.to_dict() | {"T_estimate": None}
+    pred = h.predicted_report(rep.regime, es, c)
+    assert rep.forward_outcome is pred.outcome
+    assert rep.forward_y_limit == pytest.approx(pred.forward_y_limit,
+                                                rel=1e-2, abs=1e-2)
+    assert rep.ancient_exists is pred.ancient_exists
+    assert rep.ancient_type is pred.ancient_type
+    if pred.backward_y_limit is None:
+        assert rep.backward_y_limit is None
+    else:
+        assert rep.backward_y_limit == pytest.approx(
+            pred.backward_y_limit, rel=1e-2, abs=1e-2)
 
 
 def test_fixed_direction_is_a_homothety(fix_a):
