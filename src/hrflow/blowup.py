@@ -1,13 +1,15 @@
 """Parabolic rescaling near the singular time and the limiting soliton.
 
-Rescaling a collapsing trajectory by the curvature proxy at base times
+Rescaling a collapsing flow by the curvature proxy at base times
 approaching the singular time produces a limit: a homogeneous Einstein pair
 when the whole space shrinks to a point, and a product of the shrunk fiber
 with a flat factor of dimension d2 when only the fiber collapses.  The
-limit is exact: the rescaled pair depends on y = x1/x2 alone, so it is
-evaluated at the limiting direction and collapse mode that ``yflow``
-decides from the start, and no tail of the sampled trajectory is read.
-``rescale_at`` rescales the sampled trajectory at one base time.
+limit is exact: the rescaled pair depends on y = x1/x2 alone, so
+``limit_at`` evaluates it at the limiting direction and collapse mode that
+``yflow`` decides from the start.  ``hrflow blowup`` takes both the limit
+and the singular time from that closed form and steps no trajectory;
+``soliton_limit`` reads only the start of a sampled forward run, and
+``rescale_at`` rescales a sampled trajectory at one base time.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import numpy as np
 from .einstein import EinsteinSet
 from .errors import NotCollapsed, OutOfRange, Unclassified
 from .flow import Direction, Trajectory
+from .spaces import Coefficients
 from .yflow import YFlow
 
 
@@ -74,27 +77,21 @@ def rescale_at(traj: Trajectory, t_j: float) -> RescaledState:
     )
 
 
-def soliton_limit(traj: Trajectory, es: EinsteinSet) -> SolitonLimit:
-    """The blow-up limit of the flow that a forward collapsed run starts.
+def limit_at(c: Coefficients, y_star: float, shrinks: bool) -> SolitonLimit:
+    """The blow-up limit of a flow that ends at the ratio ``y_star``.
 
     Rescaled by kappa, which is homogeneous of degree -1, the pair is a
     function of y alone, q(y) = (kappa*x1, kappa*x2) = (1 + y + y^2 + w/y,
-    1/y + 1 + y + w/y^2) with w = 1 for the maximal kind and 0 otherwise;
-    so the limit is q(y*) at the limiting direction y* of ``yflow``, read
-    from the start ``traj.y[0]`` alone.  A fiber collapse ends at y* = 0,
-    where the rescaled fiber coefficient tends to q1(0) = 1.
+    1/y + 1 + y + w/y^2) with w = 1 for the maximal kind and 0 otherwise,
+    so a flow whose whole space ``shrinks`` tends to q(y*).  A fiber
+    collapse ends at y* = 0, where the rescaled fiber coefficient tends to
+    q1(0) = 1.
     """
-    if traj.direction is not Direction.FORWARD:
-        raise Unclassified("blow-up limits are read from forward trajectories")
-    if not traj.termination.is_collapse:
-        raise NotCollapsed(f"trajectory ended with {traj.termination.value}")
-    engine = YFlow(traj.coeffs, es)
-    end, _, shrinks = engine.forward_end(traj.y[:1])
-    if not shrinks[0]:
+    if not shrinks:
         return SolitonLimit(kind="RigidProduct", pair=None, ratio=None,
-                            fiber_constant=1.0, flat_dim=traj.coeffs.d2)
-    y = float(engine.z[end[0]])
-    w = 1.0 if traj.coeffs.planar.maximal else 0.0
+                            fiber_constant=1.0, flat_dim=c.d2)
+    y = float(y_star)
+    w = 1.0 if c.planar.maximal else 0.0
     return SolitonLimit(
         kind="EinsteinPoint",
         pair=(1.0 + y + y * y + w / y, 1.0 / y + 1.0 + y + w / (y * y)),
@@ -102,3 +99,16 @@ def soliton_limit(traj: Trajectory, es: EinsteinSet) -> SolitonLimit:
         fiber_constant=None,
         flat_dim=None,
     )
+
+
+def soliton_limit(traj: Trajectory, es: EinsteinSet) -> SolitonLimit:
+    """The blow-up limit of the flow that a forward collapsed run starts,
+    at the limiting direction y* that ``yflow`` decides from the start
+    ``traj.y[0]`` alone (see ``limit_at``)."""
+    if traj.direction is not Direction.FORWARD:
+        raise Unclassified("blow-up limits are read from forward trajectories")
+    if not traj.termination.is_collapse:
+        raise NotCollapsed(f"trajectory ended with {traj.termination.value}")
+    engine = YFlow(traj.coeffs, es)
+    end, _, shrinks = engine.forward_end(traj.y[:1])
+    return limit_at(traj.coeffs, engine.z[end[0]], bool(shrinks[0]))

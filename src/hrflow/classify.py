@@ -186,12 +186,15 @@ def predicted_report(regime: RegimeLabel, einstein: EinsteinSet,
 
 def classify_starts(coeffs: Coefficients, einstein: EinsteinSet, y0s,
                     regimes, *, backward: bool = True,
+                    engine: YFlow | None = None,
                     ) -> list[BehaviorReport]:
     """Behaviour reports of the flows from (x1, x2) = (y0, 1), one per
     start and its regime, with every verdict and T from the closed form
-    along y (``yflow``); ``backward=False`` leaves the ancient fields
-    unset."""
-    ends = YFlow(coeffs, einstein).run(y0s)
+    along y (``yflow``, set up here unless ``engine`` is given);
+    ``backward=False`` leaves the ancient fields unset."""
+    if engine is None:
+        engine = YFlow(coeffs, einstein)
+    ends = engine.run(y0s)
     shrink = _shrink_outcome(coeffs)
     t1, t2 = SingularType.TYPE_I, SingularType.TYPE_II
     reports = []
@@ -215,7 +218,8 @@ def classify_starts(coeffs: Coefficients, einstein: EinsteinSet, y0s,
 
 def classify_trajectory(fwd: Trajectory, bwd: Trajectory | None,
                         coeffs: Coefficients,
-                        einstein: EinsteinSet | None = None,
+                        einstein: EinsteinSet | None = None, *,
+                        engine: YFlow | None = None,
                         ) -> BehaviorReport:
     """The behaviour report of the flow that ``fwd`` starts.
 
@@ -224,7 +228,8 @@ def classify_trajectory(fwd: Trajectory, bwd: Trajectory | None,
     ending is fine); without one the ancient fields stay unset.  The
     verdicts and the singular time come from the closed form along y for
     the start ``fwd.y[0]``, with T scaled by ``fwd.x2[0]``; the
-    trajectories themselves are not read further.
+    trajectories themselves are not read further.  ``engine``, when given,
+    is the ``YFlow`` of ``coeffs`` and ``einstein``.
     """
     if not fwd.termination.is_collapse:
         raise NotCollapsed(f"trajectory ended with {fwd.termination.value}")
@@ -242,5 +247,5 @@ def classify_trajectory(fwd: Trajectory, bwd: Trajectory | None,
         order = sorted(einstein.values)
         regime = RegimeLabel("fixed", 1 + order.index(einstein.nearest(y0)[0]))
     (rep,) = classify_starts(coeffs, einstein, [y0], [regime],
-                             backward=bwd is not None)
+                             backward=bwd is not None, engine=engine)
     return replace(rep, T_estimate=float(fwd.x2[0]) * rep.T_estimate)

@@ -1,10 +1,10 @@
 """Command-line front end: space ingestion, runs, sweeps and report emission.
 
 Exit codes: 0 success, 2 validation or configuration failure, 3 undetermined
-classification (a backward step budget that ran out, a forward run that did
-not collapse), 4 file input/output failure.  Raised errors are mapped to
-them in ``main`` alone.  All emitted files are plot-ready CSV or JSON with
-deterministic formatting; nothing is rendered.
+classification (a backward step budget that ran out, a forward flow that did
+not collapse within the horizon), 4 file input/output failure.  Raised
+errors are mapped to them in ``main`` alone.  All emitted files are
+plot-ready CSV or JSON with deterministic formatting; nothing is rendered.
 """
 
 from __future__ import annotations
@@ -19,7 +19,9 @@ import sys
 import numpy as np
 
 from . import __version__
-from .blowup import soliton_limit
+# soliton_limit is not called here; the benchmark tracer
+# (perfbench/tracing.py) wraps this name as the blow-up layer boundary
+from .blowup import limit_at, soliton_limit  # noqa: F401
 from .classify import (
     classify_starts,
     classify_trajectory,
@@ -32,6 +34,7 @@ from .einstein import (
     scalar_zero_directions,
 )
 from .errors import (
+    DomainError,
     HrflowError,
     InsufficientHorizon,
     NotCollapsed,
@@ -54,6 +57,7 @@ from .spaces import (
     space_to_dict,
     validate,
 )
+from .yflow import YFlow
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -194,15 +198,21 @@ def cmd_flow(args) -> int:
     init = _initial_state(args)
     os.makedirs(args.out, exist_ok=True)
     slug = _slug(space, args)
+    # one Einstein set and one closed-form engine serve both runs and the
+    # report
+    es = einstein_roots(coeffs)
+    engine = YFlow(coeffs, es)
 
-    fwd = integrate(coeffs, init, _options_from(args, Direction.FORWARD))
+    fwd = integrate(coeffs, init, _options_from(args, Direction.FORWARD),
+                    einstein=es, engine=engine)
     fwd.to_csv(os.path.join(args.out, f"{slug}_forward.csv"))
     bwd = None
     if args.backward:
-        bwd = integrate(coeffs, init, _options_from(args, Direction.BACKWARD))
+        bwd = integrate(coeffs, init, _options_from(args, Direction.BACKWARD),
+                        einstein=es, engine=engine)
         bwd.to_csv(os.path.join(args.out, f"{slug}_backward.csv"))
 
-    rep = classify_trajectory(fwd, bwd, coeffs, fwd.einstein)
+    rep = classify_trajectory(fwd, bwd, coeffs, es, engine=engine)
     _write_json(os.path.join(args.out, f"{slug}_report.json"), rep.to_dict())
     print(f"{slug}: {rep.forward_outcome.value} ({rep.singular_type.value}), "
           f"T ~ {rep.T_estimate}, ancient = {rep.ancient_exists}")
@@ -329,13 +339,24 @@ def _near(got: float | None, want: float | None) -> bool:
 
 
 def cmd_blowup(args) -> int:
+    """The blow-up limit and the singular time of the forward flow, both
+    from the closed form along y; no trajectory is stepped.  T_estimate is
+    x2(0) times the engine's T, as in ``flow``'s report."""
     space, coeffs = _two_summand(args.space)
-    fwd = integrate(coeffs, _initial_state(args),
-                    _options_from(args, Direction.FORWARD))
-    limit = soliton_limit(fwd, fwd.einstein)
+    init = _initial_state(args)
+    y0 = init.x1 / init.x2
+    if not 0.0 < y0 < math.inf:
+        raise DomainError(f"initial state {init} has no positive finite "
+                          "ratio x1/x2")
+    ends = YFlow(coeffs, einstein_roots(coeffs)).run([y0])
+    T = float(ends.T[0])
+    if not T <= args.horizon:
+        raise NotCollapsed(f"the singular time T = {T} (in units of x2) is "
+                           f"not within the horizon {args.horizon}")
+    limit = limit_at(coeffs, ends.y_forward[0], bool(ends.shrinks[0]))
     os.makedirs(args.out, exist_ok=True)
     payload = limit.to_dict() | {"space": space.name,
-                                 "T_estimate": fwd.T_estimate}
+                                 "T_estimate": init.x2 * T}
     _write_json(os.path.join(args.out, f"{_slug(space, args)}_blowup.json"),
                 payload)
     print(json.dumps(payload, indent=2, sort_keys=True))
@@ -351,10 +372,15 @@ def _space_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=".", help="output directory")
 
 
+def _horizon_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--horizon", type=float,
+                   default=IntegrationOptions().max_time)
+
+
 def _integration_flags(p: argparse.ArgumentParser) -> None:
-    opts = IntegrationOptions()
-    p.add_argument("--horizon", type=float, default=opts.max_time)
-    p.add_argument("--max-steps", type=int, default=opts.max_steps)
+    _horizon_flag(p)
+    p.add_argument("--max-steps", type=int,
+                   default=IntegrationOptions().max_steps)
 
 
 def _initial_flags(p: argparse.ArgumentParser) -> None:
@@ -410,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("grid", "random"), default="grid")
 
     command("blowup", cmd_blowup, "rescaled limit near the singular time",
-            _space_flags, _integration_flags, _initial_flags)
+            _space_flags, _horizon_flag, _initial_flags)
     return parser
 
 

@@ -13,8 +13,7 @@ through the one planar-field form of ``spaces.PlanarField``.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -103,7 +102,6 @@ class Trajectory:
     final_rhs: tuple[float, float]
     t0: float
     coeffs: Coefficients
-    einstein: EinsteinSet = field(repr=False, default=None)
 
     @property
     def n_samples(self) -> int:
@@ -128,17 +126,20 @@ class Trajectory:
         return bool(np.all(dy >= -scale) or np.all(dy <= scale))
 
     CSV_HEADER = "t,x1,x2,y,R,kappa,first_integral"
+    #: one row each; "%.17g" % v is format(v, ".17g").  The first
+    #: integral's cell is left empty where it is NaN.
+    _CSV_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n"
+    _CSV_ROW_NO_INTEGRAL = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,\n"
 
     def to_csv(self, path) -> None:
+        full, short = self._CSV_ROW, self._CSV_ROW_NO_INTEGRAL
+        rows = zip(self.t.tolist(), self.x1.tolist(), self.x2.tolist(),
+                   self.y.tolist(), self.R.tolist(), self.kappa.tolist(),
+                   self.first_integral.tolist())
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.CSV_HEADER + "\n")
-            for *row, lam in zip(self.t.tolist(), self.x1.tolist(),
-                                 self.x2.tolist(), self.y.tolist(),
-                                 self.R.tolist(), self.kappa.tolist(),
-                                 self.first_integral.tolist()):
-                cells = [format(v, ".17g") for v in row]
-                cells.append("" if math.isnan(lam) else format(lam, ".17g"))
-                fh.write(",".join(cells) + "\n")
+            fh.write("".join([full % row if row[6] == row[6]
+                              else short % row[:6] for row in rows]))
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +274,9 @@ def as_coefficients(model) -> Coefficients:
 
 
 def integrate(model, init: MetricState,
-              opts: IntegrationOptions | None = None) -> Trajectory:
+              opts: IntegrationOptions | None = None, *,
+              einstein: EinsteinSet | None = None,
+              engine: YFlow | None = None) -> Trajectory:
     """Integrate the planar flow from init until collapse, horizon, runaway
     or budget.
 
@@ -283,7 +286,9 @@ def integrate(model, init: MetricState,
     x2(0).  Backward runs integrate the time-reversed field.  A collapse
     ending estimates the singular time by linear extrapolation of the
     vanishing coordinate.  The first integral is NaN within ROOT_EXCLUSION
-    of a root and wherever it would not be a normal float.
+    of a root and wherever it would not be a normal float.  A caller that
+    runs several flows of one space passes its Einstein set and ``YFlow``
+    engine, which are otherwise set up here.
     """
     opts = opts or IntegrationOptions()
     c = as_coefficients(model)
@@ -312,12 +317,14 @@ def integrate(model, init: MetricState,
     y = u1 / u2
 
     termination, t_est = _terminal_info(raw, opts, init.t, sgn, scale)
-    es = einstein_roots(c)
+    es = einstein if einstein is not None else einstein_roots(c)
+    if engine is None:
+        engine = YFlow(c, es)
     guard = np.ones_like(y, dtype=bool)
     for r, _ in es.roots:
         guard &= np.abs(y - r) > ROOT_EXCLUSION * (1.0 + abs(r))
     lam = np.full_like(x1, np.nan)
-    lam[guard] = _first_integral_of(YFlow(c, es), x2[guard], y[guard])
+    lam[guard] = _first_integral_of(engine, x2[guard], y[guard])
 
     return Trajectory(
         direction=opts.direction,
@@ -330,7 +337,6 @@ def integrate(model, init: MetricState,
         final_rhs=(sgn * raw.final_rhs[0], sgn * raw.final_rhs[1]),
         t0=init.t,
         coeffs=c,
-        einstein=es,
     )
 
 

@@ -14,9 +14,11 @@ Steps that would leave the positive cone are rejected and halved, and the
 step length is capped so that a shrinking coordinate loses only a bounded
 fraction per step; that guarantees sample coverage of the vanishing tail.
 A NaN error estimate (a field that returned NaN inside the cone) raises
-``DomainError`` instead of passing for an accepted step.  A state whose
-norm would cross ``NORM_GUARD`` ends the run with status "runaway": a
-coefficient running off to infinity is an ending of the flow, not an error.
+``DomainError`` instead of passing for an accepted step; a NaN endpoint
+passes the cone check but makes the last stage, and so the estimate, NaN.
+A state whose norm would cross ``NORM_GUARD`` ends the run with status
+"runaway": a coefficient running off to infinity is an ending of the flow,
+not an error.
 ``RawRun`` counts the branches a run took: steps rejected by the error test,
 steps halved for leaving the cone, and whether it ended on a step size
 stagnated at the resolution of s.
@@ -225,8 +227,9 @@ def run_adaptive(
 
         e1 = h * (_E1 * k11 + _E3 * k31 + _E4 * k41 + _E5 * k51 + _E6 * k61 + _E7 * k71)
         e2 = h * (_E1 * k12 + _E3 * k32 + _E4 * k42 + _E5 * k52 + _E6 * k62 + _E7 * k72)
-        sc1 = atol + rtol * max(abs(x1), abs(n1))
-        sc2 = atol + rtol * max(abs(x2), abs(n2))
+        # both states lie inside the positive cone, so no abs() is needed
+        sc1 = atol + rtol * (x1 if x1 > n1 else n1)
+        sc2 = atol + rtol * (x2 if x2 > n2 else n2)
         # keep `** 2`: libm's pow(x, 2) and x * x differ in the last bit
         # for some doubles, and the accepted steps would change with it
         err = math.sqrt(0.5 * ((e1 / sc1) ** 2 + (e2 / sc2) ** 2))
@@ -239,10 +242,10 @@ def run_adaptive(
             h *= max(0.2, 0.9 * err ** -0.2)
             continue
 
-        if max(abs(n1), abs(n2)) > NORM_GUARD:
+        if n1 > NORM_GUARD or n2 > NORM_GUARD:
             status = "runaway"
             break
-        if min(n1, n2) <= eps:
+        if n1 <= eps or n2 <= eps:
             s_ev, u_ev, f_ev = _locate_event(
                 f, s, (x1, x2), (k11, k12), (n1, n2), (k71, k72), h, eps)
             ss.append(s_ev)

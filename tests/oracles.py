@@ -3,10 +3,13 @@
 These deliberately avoid the package's solvers so that agreement is
 evidence, not tautology: roots come from a uniform sign-change sweep with
 pure bisection, nonlinear systems from scipy, trajectories from scipy's
-general-purpose integrator.
+general-purpose integrator.  A trajectory's CSV text comes from a writer
+that formats one cell at a time.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -110,3 +113,18 @@ def dop853_singular_time(coeffs, y0: float, eps: float = 1e-12) -> float:
     u = sol.y_events[0][0]
     k = 0 if u[0] <= u[1] else 1
     return t_ev + u[k] / -f(u[0], u[1])[k]
+
+
+def per_cell_csv(traj) -> str:
+    """The CSV text of a trajectory with every cell formatted on its own
+    by format(v, ".17g"), and an empty first-integral cell where it is
+    NaN: the row-at-a-time writer that ``Trajectory.to_csv`` replaced."""
+    lines = [traj.CSV_HEADER + "\n"]
+    for *row, lam in zip(traj.t.tolist(), traj.x1.tolist(),
+                         traj.x2.tolist(), traj.y.tolist(),
+                         traj.R.tolist(), traj.kappa.tolist(),
+                         traj.first_integral.tolist()):
+        cells = [format(v, ".17g") for v in row]
+        cells.append("" if math.isnan(lam) else format(lam, ".17g"))
+        lines.append(",".join(cells) + "\n")
+    return "".join(lines)

@@ -1,12 +1,17 @@
 import hashlib
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hrflow as h
-from hrflow import cli
+from hrflow import cli, stepper
 from hrflow.cli import main
+
+from randspaces import random_maximal_space, random_nonmaximal_space
+from test_golden import Y0 as GOLDEN_Y0
 
 
 def run_cli(*argv):
@@ -258,7 +263,7 @@ def test_flow_undetermined_exit_code(tmp_path):
 @pytest.mark.parametrize("argv", [
     # forward run stopped by the horizon before it collapsed
     ("flow", "--space", "FIX-A", "--y0", "0.7", "--horizon", "0.01"),
-    # the same for the forward run that blowup steps for T_estimate
+    # blowup's flow from the same start collapses after the horizon too
     ("blowup", "--space", "FIX-A", "--y0", "0.7", "--horizon", "0.01"),
 ])
 def test_undetermined_runs_exit_3(tmp_path, argv):
@@ -324,6 +329,8 @@ def test_blowup_limit_near_repelling_root(tmp_path, capsys):
     # prefixes of flags the subcommand does take
     ("sweep", "--space", "FIX-A", "--y0", "0.5,2", "--count", "2"),
     ("portrait", "--space", "FIX-A", "--x1", "0.1,2"),
+    # blowup steps no trajectory, so it has no step budget
+    ("blowup", "--space", "FIX-A", "--y0", "1", "--max-steps", "10"),
 ])
 def test_unread_flags_are_refused(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -347,6 +354,62 @@ def test_cached_parser_keeps_no_state(tmp_path, capsys):
     first = (tmp_path / "a" / "FIX-A_sweep.csv").read_text()
     assert first.count("\n") == 4
     assert (tmp_path / "c" / "FIX-A_sweep.csv").read_text() == first
+
+
+def _blowup_and_report_T(tmp_path, space: str, y0: str) -> tuple:
+    blow = _payload(tmp_path, "blowup", "--space", space, "--y0", y0)
+    rep = _payload(tmp_path, "flow", "--space", space, "--y0", y0,
+                   "--backward")
+    return blow["T_estimate"], rep["T_estimate"]
+
+
+def test_blowup_T_is_the_flow_report_T(tmp_path):
+    # both come from the closed form along y, float for float
+    for name, y0 in GOLDEN_Y0.items():
+        T, want = _blowup_and_report_T(tmp_path, name, y0)
+        assert T == want, name
+    rng = np.random.default_rng(9)
+    for i in range(50):
+        draw = random_nonmaximal_space if i % 2 == 0 else random_maximal_space
+        path = tmp_path / f"table_{i}.json"
+        h.dump_space(draw(rng, f"R{i}"), str(path))
+        y0 = float(np.exp(rng.uniform(np.log(0.05), np.log(20.0))))
+        T, want = _blowup_and_report_T(tmp_path, str(path), repr(y0))
+        assert T == want, (i, y0)
+
+
+def test_blowup_steps_no_trajectory(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("blowup called the stepper")
+
+    monkeypatch.setattr(stepper, "run_adaptive", refuse)
+    for name, y0 in GOLDEN_Y0.items():
+        assert run_cli("blowup", "--space", name, "--y0", y0,
+                       "--out", str(tmp_path)) == 0, name
+
+
+def test_blowup_horizon_against_the_singular_time(tmp_path):
+    T, _ = _blowup_and_report_T(tmp_path, "FIX-A", "0.7")
+    for horizon, code in ((math.nextafter(T, 0.0), 3), (T, 0),
+                          (math.nextafter(T, math.inf), 0)):
+        assert run_cli("blowup", "--space", "FIX-A", "--y0", "0.7",
+                       "--horizon", repr(horizon),
+                       "--out", str(tmp_path)) == code, horizon
+
+
+@pytest.mark.parametrize("argv,code", [
+    # at or below the old collapse threshold of the forward run
+    (("--y0", "1e-9"), 0),
+    (("--y0", "1e-300"), 0),
+    # ratios that are no positive finite number
+    (("--x1", "1e-300", "--x2", "1e300"), 2),
+    (("--x1", "inf", "--x2", "1"), 2),
+    # a singular time far beyond the horizon
+    (("--y0", "1e13"), 3),
+])
+def test_blowup_extreme_starts(tmp_path, argv, code):
+    assert run_cli("blowup", "--space", "FIX-A", *argv,
+                   "--out", str(tmp_path)) == code
 
 
 def test_blowup_command(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from hrflow.errors import (
 )
 from hrflow.flow import IntegrationOptions, MetricState, make_rhs
 
-from oracles import scipy_trajectory
+from oracles import per_cell_csv, scipy_trajectory
 from randspaces import (
     random_maximal_space,
     random_nonmaximal_space,
@@ -308,6 +309,46 @@ def test_trajectory_csv_format(tmp_path, su42):
     # su42 (case c) has a first integral too
     assert float(cells[6]) == pytest.approx(
         h.first_integral(traj.state(0), su42), rel=1e-15)
+
+
+def test_csv_rows_match_the_per_cell_writer(tmp_path, spaces):
+    # FIX-C0's forward tails and a start on an Einstein direction leave the
+    # first integral empty (NaN) in some or all rows
+    back = IntegrationOptions(direction=h.Direction.BACKWARD)
+    runs = [(spaces["FIX-C0"], 0.7, None), (spaces["FIX-A"], 1.0, None),
+            (spaces["SU42"], 1.0, None), (spaces["SU42"], 1.0, back),
+            (spaces["FIX-D"], 1.5, back)]
+    rng = np.random.default_rng(11)
+    for i in range(10):
+        draw = random_nonmaximal_space if i % 2 == 0 else random_maximal_space
+        runs.append((h.derive_coeffs(draw(rng)), 0.05 + 5 * rng.random(),
+                     back if i % 3 == 0 else None))
+    empty = 0
+    for n, (c, y0, opts) in enumerate(runs):
+        traj = h.integrate(c, MetricState(0.0, y0, 1.0), opts)
+        path = tmp_path / f"{n}.csv"
+        traj.to_csv(path)
+        assert path.read_text() == per_cell_csv(traj), n
+        empty += int(np.isnan(traj.first_integral).sum())
+    assert empty > 0
+
+
+def test_csv_formats_every_double_as_format_does(tmp_path, su42):
+    # signed zeros, subnormals, infinities and raw bit patterns (NaN among
+    # them), with NaN first integrals in every other row
+    traj = h.integrate(su42, MetricState(0.0, 1.0, 1.0))
+    n = traj.n_samples
+    special = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, math.inf,
+               -math.inf, 1e308, 0.1, 1 / 3, 2.0 ** 53 + 1]
+    bits = np.random.default_rng(5).integers(
+        np.iinfo(np.int64).min, np.iinfo(np.int64).max, (6, n),
+        dtype=np.int64).view(np.float64)
+    bits[5, ::2] = math.nan
+    odd = dataclasses.replace(
+        traj, t=np.resize(special, n), x1=bits[0], x2=bits[1], y=bits[2],
+        R=bits[3], kappa=bits[4], first_integral=bits[5])
+    odd.to_csv(tmp_path / "odd.csv")
+    assert (tmp_path / "odd.csv").read_text() == per_cell_csv(odd)
 
 
 def test_integrate_guards(su42):

@@ -51,7 +51,7 @@ GOLDEN = {
     ('SU42', 'flow'):
         'b3bc7d8c76f88bda8c8c3ac5d43f1f9dfe1162e1651f4d9f80bb36f287900b83',
     ('SU42', 'blowup'):
-        '20fcba3336b6460e4dd78397e72c7862ad508c953021a83235260845c359643c',
+        '0644e199fa73a3f69004936c32068d103786897744d329eb3cf0b03b3b208302',
     ('FIX-A', 'einstein'):
         '016de4ab2b9cc935a85c1202c59d7e8e7ab30c6c88aae2258faf81c200c463be',
     ('FIX-A', 'portrait'):
@@ -63,7 +63,7 @@ GOLDEN = {
     ('FIX-A', 'flow'):
         '9b2476e6e13e49b0de15bb6e2967785bcb9d1bd2a338dbcae2304520636b2b91',
     ('FIX-A', 'blowup'):
-        '65c57963ac7aa47e153ba3fc7338878f31efcac0f6735c351b1602d4a8763a2b',
+        '35b2a726e73d0fa05dac20ed0416400597384dbfda3f06cea17da12720c047fd',
     ('FIX-B', 'einstein'):
         '0860598a431afac9ad5eb53c9783967c303fc33daa90719584eb4f0666b99379',
     ('FIX-B', 'portrait'):
@@ -75,7 +75,7 @@ GOLDEN = {
     ('FIX-B', 'flow'):
         'b79c480d4aa34b9c7b681e3c144573ece6a4eed50f54f7f2d995980b530ce69e',
     ('FIX-B', 'blowup'):
-        '82005ca663a8a33c4f4c69d845f14db63c95f9459106f9d860d3ad09b4128d04',
+        'f749fac38c712439edc3521345eb6e345e354f67415b2d9bb47302f420f4dc72',
     ('FIX-C0', 'einstein'):
         '7f664d39b88c03357f0a1627fce8bc30552fe827bba95040550065912da30dd7',
     ('FIX-C0', 'portrait'):
@@ -87,7 +87,7 @@ GOLDEN = {
     ('FIX-C0', 'flow'):
         '8fbfbf645a4da43ced25764b872aee4e899235f1165c7ebc94982c1c820652a8',
     ('FIX-C0', 'blowup'):
-        '9ddc426c16377a6478329a79002af9f88cd524d50fc6be76ecd16a5e33b62d46',
+        'dc66f9cc3d51a7f4ced8dc198cffcf6a0c488fd1b33118cd500eec40aa1968d3',
     ('FIX-D', 'einstein'):
         '471c215eb0e2e6c877d6433042a16e19051229d7c87878676bff497a43ed68f4',
     ('FIX-D', 'portrait'):
@@ -99,7 +99,7 @@ GOLDEN = {
     ('FIX-D', 'flow'):
         '865eab42877c61fea3c6b08da88862426575495d8e5ee80b9d05ef95467bc5e9',
     ('FIX-D', 'blowup'):
-        '8f69375a30f15477ec0c09fed2b6b2d8fda97b6e90db3d198abb8e096088fdec',
+        '121aca74b61d2bbaf81873202250e8dfc91aa49f18ada58d394bfe29492269eb',
     ('FIX-E', 'einstein'):
         '2ea15fb2a86c63086d3efbe04637b0c252ba9b77825599089f6c51ebcfc35b4c',
     ('FIX-E', 'portrait'):
@@ -111,7 +111,7 @@ GOLDEN = {
     ('FIX-E', 'flow'):
         'a9b6f256976c8af0bce849e8f4b301dd4661fdf64aff3d403c6bdf5b257d706c',
     ('FIX-E', 'blowup'):
-        '021c7de30df145273a81b85c01508ddb67b469b2e081e8e2ad6284b2afc11514',
+        '463454a242ee079b4c306defd5520aa78570296fa5f0fba043bd035a5490dd59',
     ('FIX-E2', 'einstein'):
         '5d214c83eeeb84ffa4698c875fa70260e2651f95a4c36b4a865ecf2f6fb5d6d9',
     ('FIX-E2', 'portrait'):
@@ -123,7 +123,7 @@ GOLDEN = {
     ('FIX-E2', 'flow'):
         '264e8af722abb263ce2eb5814708133ab85796ff281321d7b8834d04c0ac73ae',
     ('FIX-E2', 'blowup'):
-        '1688860c4773ecbc763fbb5f8e19393f5fcd6cbbbd3af603c80d2bcfeecaa99e',
+        '0e409ab0561af51ec3268bd187463f28afdd1597d18cf7d4719ac0fbd7ca0bca',
     ('FIX-F', 'einstein'):
         '2d4e3794f37c1f8e72d9c22977d69977755ccd97f42eeef82fbbf79e6af16561',
     ('FIX-F', 'portrait'):
@@ -135,7 +135,7 @@ GOLDEN = {
     ('FIX-F', 'flow'):
         '0ad6c2d4183ad8a6e69aa6e35662838b91a689f0b85f0f2ef8e25d8f83f81020',
     ('FIX-F', 'blowup'):
-        'd31be9f3dd39822ce4bf229bf8517287d3d4575332fca092719700734a0e0511',
+        'cd68ee6aa7401ca2b1526afa1272b799ac118660a6f89a28431d13725409f066',
 }
 
 
