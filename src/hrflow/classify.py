@@ -93,25 +93,36 @@ def regime_of(coeffs: Coefficients, einstein: EinsteinSet,
     The case label of ``einstein`` carries everything needed; ``coeffs``
     and ``critical`` are accepted so that positional callers keep working.
     """
-    if y0 <= 0:
+    if not y0 > 0:
         raise ValueError(f"y0 must be positive, got {y0}")
-    # the tolerance of YFlow.forward_end, which calls such a start fixed
-    hit = einstein.on_root(y0)
-    if hit is not None:
-        raise OnEinsteinRoot(f"y0 = {y0} sits on the fixed direction {hit}")
+    (regime,) = _regimes(einstein, [y0])
+    if regime.family == "fixed":
+        raise OnEinsteinRoot(f"y0 = {y0} sits on the fixed direction "
+                             f"{einstein.values[regime.subcase - 1]}")
+    return regime
 
+
+def _regimes(einstein: EinsteinSet, y0s) -> list[RegimeLabel]:
+    """The regime of each start: its interval between the sorted roots, or
+    ``fixed`` and the 1-based index of the root it sits on."""
     family = einstein.case_label
-    if family in ("c", "f"):
-        return RegimeLabel(family)
-    # 1-based index of the interval between sorted roots that holds y0
-    sub = 1 + sum(r <= y0 for r in einstein.values)
-    if family == "C0":
-        return RegimeLabel("C0", "below" if sub == 1 else "above")
-    if family == "e":
-        single_below = einstein.roots[0][1] == 1
-        return RegimeLabel("e", sub if single_below else sub + 3,
-                           single_below_double=single_below)
-    return RegimeLabel(family, sub)
+    # case e numbers its intervals 4..6 when the double root is the lower
+    single_below = einstein.roots[0][1] == 1 if family == "e" else None
+    shift = 3 if single_below is False else 0
+    below, on = einstein.locate(y0s)
+    out = []
+    # sub is the 1-based index of the interval between sorted roots
+    for sub, k in zip((below + 1).tolist(), on.tolist()):
+        if k >= 0:
+            out.append(RegimeLabel("fixed", k + 1))
+        elif family in ("c", "f"):
+            out.append(RegimeLabel(family))
+        elif family == "C0":
+            out.append(RegimeLabel("C0", "below" if sub == 1 else "above"))
+        else:
+            out.append(RegimeLabel(family, sub + shift,
+                                   single_below_double=single_below))
+    return out
 
 
 def _shrink_outcome(coeffs: Coefficients) -> Outcome:
@@ -184,9 +195,8 @@ def predicted_report(regime: RegimeLabel, einstein: EinsteinSet,
 # behaviour reports
 
 
-def classify_starts(coeffs: Coefficients, einstein: EinsteinSet, y0s,
-                    regimes, *, backward: bool = True,
-                    engine: YFlow | None = None,
+def classify_starts(coeffs: Coefficients, einstein: EinsteinSet, y0s, *,
+                    backward: bool = True, engine: YFlow | None = None,
                     ) -> list[BehaviorReport]:
     """Behaviour reports of the flows from (x1, x2) = (y0, 1), one per
     start and its regime, with every verdict and T from the closed form
@@ -198,7 +208,7 @@ def classify_starts(coeffs: Coefficients, einstein: EinsteinSet, y0s,
     shrink = _shrink_outcome(coeffs)
     t1, t2 = SingularType.TYPE_I, SingularType.TYPE_II
     reports = []
-    for i, regime in enumerate(regimes):
+    for i, regime in enumerate(_regimes(einstein, y0s)):
         ancient = bool(ends.ancient[i]) if backward else None
         reports.append(BehaviorReport(
             regime=regime,
@@ -239,13 +249,6 @@ def classify_trajectory(fwd: Trajectory, bwd: Trajectory | None,
             "horizon; raise max_steps or lower the horizon")
     if einstein is None:
         einstein = einstein_roots(coeffs)
-    y0 = float(fwd.y[0])
-    try:
-        regime = regime_of(coeffs, einstein, None, y0)
-    except OnEinsteinRoot:
-        # starting on a homothety direction: not an interval case
-        order = sorted(einstein.values)
-        regime = RegimeLabel("fixed", 1 + order.index(einstein.nearest(y0)[0]))
-    (rep,) = classify_starts(coeffs, einstein, [y0], [regime],
+    (rep,) = classify_starts(coeffs, einstein, fwd.y[:1],
                              backward=bwd is not None, engine=engine)
     return replace(rep, T_estimate=float(fwd.x2[0]) * rep.T_estimate)

@@ -19,10 +19,11 @@ import sys
 import numpy as np
 
 from . import __version__
-# soliton_limit is not called here; the benchmark tracer
-# (perfbench/tracing.py) wraps this name as the blow-up layer boundary
+# soliton_limit and regime_of are not called here; the benchmark tracer
+# (perfbench/tracing.py) wraps these names as the blow-up and
+# classification layer boundaries
 from .blowup import limit_at, soliton_limit  # noqa: F401
-from .classify import (
+from .classify import (  # noqa: F401
     classify_starts,
     classify_trajectory,
     predicted_report,
@@ -38,7 +39,6 @@ from .errors import (
     HrflowError,
     InsufficientHorizon,
     NotCollapsed,
-    OnEinsteinRoot,
     SpaceModelError,
 )
 from .flow import (
@@ -198,21 +198,19 @@ def cmd_flow(args) -> int:
     init = _initial_state(args)
     os.makedirs(args.out, exist_ok=True)
     slug = _slug(space, args)
-    # one Einstein set and one closed-form engine serve both runs and the
-    # report
-    es = einstein_roots(coeffs)
-    engine = YFlow(coeffs, es)
+    # one closed-form engine serves both runs and the report
+    engine = YFlow(coeffs, einstein_roots(coeffs))
 
     fwd = integrate(coeffs, init, _options_from(args, Direction.FORWARD),
-                    einstein=es, engine=engine)
+                    engine=engine)
     fwd.to_csv(os.path.join(args.out, f"{slug}_forward.csv"))
     bwd = None
     if args.backward:
         bwd = integrate(coeffs, init, _options_from(args, Direction.BACKWARD),
-                        einstein=es, engine=engine)
+                        engine=engine)
         bwd.to_csv(os.path.join(args.out, f"{slug}_backward.csv"))
 
-    rep = classify_trajectory(fwd, bwd, coeffs, es, engine=engine)
+    rep = classify_trajectory(fwd, bwd, coeffs, engine.es, engine=engine)
     _write_json(os.path.join(args.out, f"{slug}_report.json"), rep.to_dict())
     print(f"{slug}: {rep.forward_outcome.value} ({rep.singular_type.value}), "
           f"T ~ {rep.T_estimate}, ancient = {rep.ancient_exists}")
@@ -300,18 +298,15 @@ def cmd_sweep(args) -> int:
 def _sweep_rows(coeffs, es, y0s: list[float]) -> list[str]:
     """The nine fields after the index of each start; a fixed direction
     leaves all but y0 and the regime empty.  A row matches the case table
-    when every field of ``predicted_report`` agrees, limits to 1e-2."""
-    regimes = []
-    for y0 in y0s:
-        try:
-            regimes.append(regime_of(coeffs, es, None, y0))
-        except OnEinsteinRoot:
-            regimes.append(None)
+    when every field of ``predicted_report`` agrees, limits to 1e-2; a
+    singular time that is not finite leaves the run undetermined."""
     out = []
-    for y0, rep in zip(y0s, classify_starts(coeffs, es, y0s, regimes)):
-        if rep.regime is None:
+    for y0, rep in zip(y0s, classify_starts(coeffs, es, y0s)):
+        if rep.regime.family == "fixed":
             out.append(f"{_fmt(y0)},fixed" + "," * 7)
             continue
+        if not math.isfinite(rep.T_estimate):
+            raise NotCollapsed(f"T = {rep.T_estimate} from y0 = {y0}")
         pred = predicted_report(rep.regime, es, coeffs)
         matches = (
             rep.forward_outcome is pred.outcome

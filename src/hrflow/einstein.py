@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import roots as rt
 from .errors import NotAnEinsteinRoot
 from .spaces import Coefficients, MaxCoeffs
@@ -41,17 +43,21 @@ class EinsteinSet:
     def count_distinct(self) -> int:
         return len(self.roots)
 
-    def nearest(self, y: float) -> tuple[float, int] | None:
-        if not self.roots:
-            return None
-        return min(self.roots, key=lambda rm: abs(rm[0] - y))
+    def locate(self, ys):
+        """Per ratio of ``ys``: the number of roots at or below it, and the
+        index of the root it lies within ROOT_EXCLUSION * (1 + root) of, or
+        -1.  The one place a ratio is compared with the roots."""
+        y = np.asarray(ys, dtype=float)
+        r = np.array(self.values)
+        near = np.abs(y[..., None] - r) <= ROOT_EXCLUSION * (1.0 + r)
+        # distinct roots lie MERGE_TOL apart, so a ratio is near one at most
+        return (np.searchsorted(r, y, side="right"),
+                near @ np.arange(1, r.size + 1) - 1)
 
-    def on_root(self, y: float, tol: float = ROOT_EXCLUSION) -> float | None:
+    def on_root(self, y: float) -> float | None:
         """The root y sits on, or None."""
-        for r, _ in self.roots:
-            if abs(y - r) <= tol * (1.0 + abs(r)):
-                return r
-        return None
+        k = int(self.locate(y)[1])
+        return None if k < 0 else self.values[k]
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from . import stepper
-from .einstein import ROOT_EXCLUSION, EinsteinSet, einstein_roots
+from .einstein import EinsteinSet, einstein_roots
 from .errors import DomainError, NonpositiveC, OnEinsteinRoot, SpaceModelError
 from .spaces import (
     Coefficients,
@@ -29,6 +29,10 @@ from .spaces import (
     derive_coeffs,
 )
 from .yflow import YFlow
+
+#: y counts as monotone when it never moves against its trend by more than
+#: MONOTONE_SLACK * (1 + max |y|)
+MONOTONE_SLACK = 1e-9
 
 #: a collapse counts as simultaneous when the co-vanishing coordinate is
 #: within this factor of the collapse threshold at the event
@@ -120,9 +124,9 @@ class Trajectory:
         """|t - t0|, the nonnegative integration time."""
         return np.abs(self.t - self.t0)
 
-    def y_monotone_within(self, slack: float = 1e-9) -> bool:
+    def y_monotone_within(self) -> bool:
         dy = np.diff(self.y)
-        scale = slack * (1.0 + float(np.max(np.abs(self.y))))
+        scale = MONOTONE_SLACK * (1.0 + float(np.max(np.abs(self.y))))
         return bool(np.all(dy >= -scale) or np.all(dy <= scale))
 
     CSV_HEADER = "t,x1,x2,y,R,kappa,first_integral"
@@ -241,7 +245,7 @@ def first_integral(state: MetricState, c: Coefficients,
 
     Phi is the integral of f2/H over y (``YFlow.log_x2``), so
     d ln x2/dy = f2/H makes ln x2 - Phi(y) constant.  Raises
-    OnEinsteinRoot within ROOT_EXCLUSION of a root, where Phi diverges.
+    OnEinsteinRoot on a root (``EinsteinSet.on_root``), where Phi diverges.
     """
     if es is None:
         es = einstein_roots(c)
@@ -275,7 +279,6 @@ def as_coefficients(model) -> Coefficients:
 
 def integrate(model, init: MetricState,
               opts: IntegrationOptions | None = None, *,
-              einstein: EinsteinSet | None = None,
               engine: YFlow | None = None) -> Trajectory:
     """Integrate the planar flow from init until collapse, horizon, runaway
     or budget.
@@ -285,10 +288,10 @@ def integrate(model, init: MetricState,
     absolute tolerance, the horizon and the norm guard are in units of
     x2(0).  Backward runs integrate the time-reversed field.  A collapse
     ending estimates the singular time by linear extrapolation of the
-    vanishing coordinate.  The first integral is NaN within ROOT_EXCLUSION
-    of a root and wherever it would not be a normal float.  A caller that
-    runs several flows of one space passes its Einstein set and ``YFlow``
-    engine, which are otherwise set up here.
+    vanishing coordinate.  The first integral is NaN on a root (as
+    ``EinsteinSet.locate`` places it) and wherever it would not be a normal
+    float.  A caller that runs several flows of one space passes its
+    ``YFlow`` engine, which is otherwise set up here.
     """
     opts = opts or IntegrationOptions()
     c = as_coefficients(model)
@@ -317,12 +320,9 @@ def integrate(model, init: MetricState,
     y = u1 / u2
 
     termination, t_est = _terminal_info(raw, opts, init.t, sgn, scale)
-    es = einstein if einstein is not None else einstein_roots(c)
     if engine is None:
-        engine = YFlow(c, es)
-    guard = np.ones_like(y, dtype=bool)
-    for r, _ in es.roots:
-        guard &= np.abs(y - r) > ROOT_EXCLUSION * (1.0 + abs(r))
+        engine = YFlow(c, einstein_roots(c))
+    guard = engine.es.locate(y)[1] < 0
     lam = np.full_like(x1, np.nan)
     lam[guard] = _first_integral_of(engine, x2[guard], y[guard])
 

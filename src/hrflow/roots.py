@@ -13,6 +13,9 @@ import math
 #: roots closer than MERGE_TOL * (1 + |root|) count as one multiple root
 MERGE_TOL = 1e-7
 
+#: bisection stops once the bracket is below BISECT_XTOL * (1 + |midpoint|)
+BISECT_XTOL = 1e-13
+
 #: residual bound: |p(r)| <= RESIDUAL_RTOL * max magnitude of the monomials
 RESIDUAL_RTOL = 1e-10
 
@@ -36,7 +39,7 @@ def residual_ok(coeffs: tuple[float, ...], y: float,
     return abs(eval_poly(coeffs, y)) <= rtol * max(poly_scale(coeffs, y), 1e-300)
 
 
-def bisect_root(f, lo: float, hi: float, *, xtol: float = 5e-16) -> float:
+def bisect_root(f, lo: float, hi: float) -> float:
     """Plain bisection on a bracket with f(lo) and f(hi) of opposite sign."""
     flo = f(lo)
     if flo == 0.0:
@@ -48,7 +51,7 @@ def bisect_root(f, lo: float, hi: float, *, xtol: float = 5e-16) -> float:
         raise ValueError(f"not a bracket: f({lo})={flo}, f({hi})={fhi}")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if hi - lo <= xtol * (1.0 + abs(mid)):
+        if hi - lo <= BISECT_XTOL * (1.0 + abs(mid)):
             return mid
         fm = f(mid)
         if fm == 0.0:
@@ -84,7 +87,7 @@ def _derivative(coeffs: tuple[float, ...]) -> tuple[float, ...]:
 
 def hybrid_root(coeffs: tuple[float, ...], lo: float, hi: float) -> float:
     """Bisection to a tight bracket, then a short Newton polish."""
-    y = bisect_root(lambda t: eval_poly(coeffs, t), lo, hi, xtol=1e-13)
+    y = bisect_root(lambda t: eval_poly(coeffs, t), lo, hi)
     return _newton_polish(coeffs, y, lo, hi)
 
 
@@ -106,8 +109,8 @@ def root_bound(coeffs: tuple[float, ...]) -> float:
     return 1.0 + max(abs(c) for c in coeffs[1:]) / lead
 
 
-def cubic_real_roots(coeffs: tuple[float, float, float, float],
-                     merge_tol: float = MERGE_TOL) -> list[tuple[float, int]]:
+def cubic_real_roots(
+        coeffs: tuple[float, float, float, float]) -> list[tuple[float, int]]:
     """All real roots of a cubic with multiplicities, sorted ascending.
 
     The critical points of the cubic split the real line into monotone
@@ -124,8 +127,8 @@ def cubic_real_roots(coeffs: tuple[float, float, float, float],
         return eval_poly(coeffs, y)
 
     def crit_is_root(y: float) -> bool:
-        # |p| below the size a pair of roots merge_tol apart would produce
-        half_gap = 0.5 * merge_tol * (1.0 + abs(y))
+        # |p| below the size a pair of roots MERGE_TOL apart would produce
+        half_gap = 0.5 * MERGE_TOL * (1.0 + abs(y))
         curv = abs(6.0 * c3 * y + 2.0 * c2)
         thr = 0.5 * curv * half_gap ** 2 + 1e-300
         return abs(val(y)) <= thr
@@ -158,17 +161,17 @@ def cubic_real_roots(coeffs: tuple[float, float, float, float],
             continue  # endpoint roots only at crits, handled above
         if fb == 0.0 or (fa > 0) != (fb > 0):
             roots.append((hybrid_root(coeffs, a, b), 1))
-    return merge_close_roots(roots, merge_tol)
+    return merge_close_roots(roots)
 
 
-def merge_close_roots(roots: list[tuple[float, int]],
-                      merge_tol: float = MERGE_TOL) -> list[tuple[float, int]]:
-    """Collapse clusters closer than merge_tol * (1 + |root|)."""
+def merge_close_roots(
+        roots: list[tuple[float, int]]) -> list[tuple[float, int]]:
+    """Collapse clusters closer than MERGE_TOL * (1 + |root|)."""
     if not roots:
         return []
     out: list[tuple[float, int]] = []
     for r, m in sorted(roots):
-        if out and abs(r - out[-1][0]) <= merge_tol * (1.0 + abs(r)):
+        if out and abs(r - out[-1][0]) <= MERGE_TOL * (1.0 + abs(r)):
             prev, pm = out[-1]
             out[-1] = ((prev * pm + r * m) / (pm + m), pm + m)
         else:

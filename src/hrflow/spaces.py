@@ -462,22 +462,25 @@ def _fix_d_variant(name: str, k: float) -> TwoSummandSpace:
     )
 
 
+#: constructors of the named fixtures, in catalog order
+_FIXTURES = {
+    "SU42": _su42,
+    "SPHERE(2)": lambda: sphere(2),
+    "SPHERE(3)": lambda: sphere(3),
+    "SPHERE(5)": lambda: sphere(5),
+    "FIX-A": _fix_a,
+    "FIX-B": _fix_b,
+    "FIX-C0": _fix_c0,
+    "FIX-D": _fix_d,
+    "FIX-E": lambda: _fix_d_variant("FIX-E", FIX_E_CONSTANT),
+    "FIX-E2": lambda: _fix_d_variant("FIX-E2", FIX_E2_CONSTANT),
+    "FIX-F": lambda: _fix_d_variant("FIX-F", FIX_F_CONSTANT),
+}
+
+
 def catalog() -> dict[str, GeneralSpace]:
     """Named fixtures used by the test suites and the command line."""
-    spaces = [
-        _su42(),
-        sphere(2),
-        sphere(3),
-        sphere(5),
-        _fix_a(),
-        _fix_b(),
-        _fix_c0(),
-        _fix_d(),
-        _fix_d_variant("FIX-E", FIX_E_CONSTANT),
-        _fix_d_variant("FIX-E2", FIX_E2_CONSTANT),
-        _fix_d_variant("FIX-F", FIX_F_CONSTANT),
-    ]
-    return {s.name: s for s in spaces}
+    return {name: build() for name, build in _FIXTURES.items()}
 
 
 _SPHERE_RE = re.compile(r"^SPHERE\((\d+)\)$")
@@ -487,10 +490,10 @@ def get_space(name: str) -> GeneralSpace:
     m = _SPHERE_RE.match(name)
     if m:
         return sphere(int(m.group(1)))
-    spaces = catalog()
-    if name not in spaces:
-        raise SpaceModelError(f"unknown space {name!r}; known: {sorted(spaces)}")
-    return spaces[name]
+    if name not in _FIXTURES:
+        raise SpaceModelError(
+            f"unknown space {name!r}; known: {sorted(_FIXTURES)}")
+    return _FIXTURES[name]()
 
 
 # ---------------------------------------------------------------------------

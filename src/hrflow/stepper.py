@@ -161,9 +161,12 @@ def run_adaptive(
             # A coordinate racing to zero faster than linearly compresses
             # its entire terminal cascade below time representability; the
             # collapse time is then converged to machine precision and the
-            # run ends here as the collapse event.
+            # run ends here as the collapse event.  Before any accepted
+            # step it is not: the first step guess was merely below the
+            # floor, and the run ends on its budget at the start.
             stagnated = True
-            event_coord = _imminent_collapse(x1, x2, (k11, k12), s)
+            event_coord = (_imminent_collapse(x1, x2, (k11, k12), s)
+                           if s > 0.0 else None)
             if event_coord is None:
                 status = "step_limit"
                 break

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .einstein import ROOT_EXCLUSION, EinsteinSet
+from .einstein import EinsteinSet
 from .errors import SpaceModelError
 from .roots import _derivative, eval_poly
 from .spaces import Coefficients, PlanarField
@@ -95,6 +95,7 @@ class YFlow:
     directions; for each the engine keeps the order of H's zero there
     (-1 for the pole of H at y = 0 in the maximal kind), and the
     coefficients ``a`` of 1/(y - z) and ``b`` of 1/(y - z)^2 in f2/H.
+    ``es`` is the Einstein set it was built from, which places the starts.
     """
 
     def __init__(self, c: Coefficients | PlanarField, es: EinsteinSet):
@@ -153,16 +154,18 @@ class YFlow:
         self.h = np.array([mu0 - 1] + [m for _, m in es.roots])
         self.a = np.zeros(len(self.z))
         self.b = np.zeros(len(self.z))
-        for (zc, _), (ac, bc) in zip(poles, coef):
-            if zc.imag == 0.0:
-                j = int(np.searchsorted(self.z, zc.real))
-                self.a[j], self.b[j] = ac.real, bc.real
+        # the real poles are the last points of z, in order (y = 0 only
+        # when f2/H has a pole there)
+        real = coef[:len(coef) - 2] if pair is not None else coef
+        for j, (ac, bc) in enumerate(real, len(self.z) - len(real)):
+            self.a[j], self.b[j] = ac.real, bc.real
         self.pair = pair
         self.pair_a = coef[-2][0] if pair is not None else 0j
         # log coefficient of x2 as y -> inf: x2 ~ y^a_inf, |H| ~ y^2
         self.a_inf = float(self.a.sum() + 2.0 * self.pair_a.real)
         self.lead = lead
         self.y2f2 = y2f2
+        self.es = es
 
     def log_x2(self, y):
         """Phi(y), the integral of f2/H up to a constant, so that
@@ -191,25 +194,17 @@ class YFlow:
         y0 = np.asarray(y0s, dtype=float).ravel()
         if not np.all(y0 > 0.0):
             raise ValueError("starting ratios must be positive")
-        z, h, a, b = self.z, self.h, self.a, self.b
-        # sign of H(y0) from its factors: lead < 0, the pair's factor > 0
-        odd = (h % 2 == 1)
-        side = np.sign(y0[:, None] - z[None, :])
-        sH = -np.prod(np.where(odd[None, :], side, 1.0), axis=1)
-        above = np.searchsorted(z, y0, side="right")  # first point > y0
-        fwd = np.where(sH > 0, above, above - 1)      # len(z) means inf
-        move = np.where(sH > 0, 1, -1)
-
-        # within EinsteinSet.on_root's tolerance of a root
-        r = z[1:, None]
-        fixed = np.any(np.abs(y0 - r) <= ROOT_EXCLUSION * (1.0 + r), axis=0)
-        if np.any(fixed):
-            # a start on an Einstein direction stays there: a homothety
-            near = 1 + np.abs(y0[:, None] - z[None, 1:]).argmin(axis=1)
-            fwd = np.where(fixed, near, fwd)
-            move = np.where(fixed, 0, move)
-        if np.any(fwd >= len(z)):
-            raise SpaceModelError("H must be negative for large y")
+        z, a, b = self.z, self.a, self.b
+        below, on = self.es.locate(y0)
+        # H < 0 for large y and changes sign at each root of odd order, so
+        # it is positive where an odd number of them lie above y0
+        odd_above = np.cumsum((self.h[:0:-1] % 2 == 1))[::-1]
+        rising = np.append(odd_above, 0)[below] % 2 == 1
+        fixed = on >= 0
+        # z[below] is the highest point at or below y0; a start on an
+        # Einstein direction stays there: a homothety
+        fwd = np.where(fixed, on + 1, below + rising)
+        move = np.where(fixed, 0, np.where(rising, 1, -1))
 
         x2_vanishes = np.where(b[fwd] != 0.0, b[fwd] * move < 0.0,
                                a[fwd] > 0.0)
@@ -241,20 +236,21 @@ class YFlow:
         moving = np.nonzero(~fixed)[0]
         for lo in range(0, len(moving), CHUNK):
             rows = moving[lo:lo + CHUNK]
-            T[rows] = self._singular_time(y0[rows], fwd[rows])
+            T[rows] = self._singular_time(y0[rows], fwd[rows], move[rows])
         return Ends(y_forward=zf, shrinks=shrinks, type_one=type_one,
                     ancient=ancient, ancient_type_one=ancient_type_one,
                     y_backward=y_bwd, T=T)
 
-    def _singular_time(self, y0: np.ndarray, fwd: np.ndarray) -> np.ndarray:
+    def _singular_time(self, y0: np.ndarray, fwd: np.ndarray,
+                       move: np.ndarray) -> np.ndarray:
         """T = integral of x2/|H| over y from y0 to the forward end.
 
         With d the distance from the end z*, L = |y0 - z*| and the
         exponent a* of x2 ~ d^a* at a simple zero of H, the integrand grows
         like d^(a* - 1) near z*; when a* < 1, d = L*w**(1/a*) makes it
-        bounded on w in (0, 1), otherwise d = L*w.  Every distance is
-        formed from ln w without cancellation.  A start whose levels have
-        not agreed by LAST_LEVEL keeps its finest estimate.
+        bounded on w in (0, 1), otherwise d = L*w.  No distance is formed
+        by cancellation.  A start whose levels have not agreed by
+        LAST_LEVEL keeps its finest estimate.
         """
         z, h, a, b = self.z, self.h, self.a, self.b
         zs, hs, as_, bs = z[fwd], h[fwd], a[fwd], b[fwd]
@@ -266,7 +262,7 @@ class YFlow:
         lnH0 = math.log(-self.lead) + np.log(self._quad(y0))
         for j in np.nonzero(h)[0]:
             lnH0 = lnH0 + h[j] * np.log(np.abs(y0 - z[j]))
-        per = np.array([y0, fwd, np.sign(y0 - zs), L, gamma,
+        per = np.array([y0, zs, fwd, -move, L, gamma,
                         (as_ - gamma) + (1.0 - hs), bs,
                         np.log(L) - np.log(gamma) - lnH0])
 
@@ -295,33 +291,43 @@ class YFlow:
     def _log_integrand(self, per, lw):
         """Log of the integrand at the nodes ln w (columns) for each start
         (rows), from its per-start constants ``per``."""
-        y0, fwd, s, L, gamma, k_ld, bs, const = (v[:, None] for v in per)
+        y0, zs, fwd, s, L, gamma, k_ld, bs, const = (v[:, None] for v in per)
         ld = lw / gamma                              # ln(d / L)
         one_u = -np.expm1(ld)                        # 1 - d / L
+        sd = s * L * np.exp(ld)                      # y - zs
         delta = -s * L * one_u                       # y - y0
         out = const + k_ld * ld
         if np.any(bs != 0.0):
             with np.errstate(divide="ignore", invalid="ignore"):
-                end = bs * s * one_u / (L * np.exp(ld))
+                end = bs * one_u / sd
             out = out - np.where(bs != 0.0, end, 0.0)
+        # y - z is formed as a sum of two terms of one sign: (zs - z) + sd
+        # for a point z beyond the end, g0 + delta for one behind the
+        # start.  For a far start, g0 = y0 - z beyond the end is far larger
+        # than y - z, and g0 + delta would lose the digits of y - z.
         for j in range(len(self.z)):
             aj, bj, hj = self.a[j], self.b[j], self.h[j]
             if aj == 0.0 and bj == 0.0 and hj == 0:
                 continue
             g0 = y0 - self.z[j]
+            beyond = (j - fwd) * s < 0
+            w = np.where(beyond, (zs - self.z[j]) + sd, g0 + delta)
             with np.errstate(divide="ignore", invalid="ignore"):
-                term = (aj - hj) * np.log1p(delta / g0)
+                term = (aj - hj) * np.where(beyond, np.log(w / g0),
+                                            np.log1p(delta / g0))
                 if bj != 0.0:
-                    term = term + bj * delta / ((g0 + delta) * g0)
+                    term = term + bj * delta / (w * g0)
             out = out + np.where(fwd == j, 0.0, term)
         if self.pair is not None:
             pa, beta = self.pair_a, self.pair.imag
             g0 = y0 - self.pair.real
+            # y - Re(pair), whose rounding |y - pair| >= Im(pair) bounds
+            w = (zs - self.pair.real) + sd
             q0 = g0 * g0 + beta * beta
-            out = out + (pa.real - 1.0) * np.log1p(
-                (2.0 * g0 + delta) * delta / q0)
+            out = out + (pa.real - 1.0) * np.log((w * w + beta * beta) / q0)
+            # the angle of (y - pair) / (y0 - pair)
             out = out - 2.0 * pa.imag * np.arctan2(
-                delta * beta / q0, 1.0 + delta * g0 / q0)
+                beta * delta, w * g0 + beta * beta)
         return out
 
 

@@ -115,6 +115,71 @@ def dop853_singular_time(coeffs, y0: float, eps: float = 1e-12) -> float:
     return t_ev + u[k] / -f(u[0], u[1])[k]
 
 
+def log_distance_singular_time(coeffs, es, y0: float) -> float:
+    """Forward singular time from (x1, x2) = (y0, 1) by scipy's DOP853 in
+    u = -ln|y - y*|, closed with the analytic tail of the last stretch.
+
+    Along y, d ln x2/dy = f2/H and dt/dy = x2/H with H = f1 - y*f2.  The
+    end y* is the first Einstein root, or 0, in the direction sign H(y0)
+    moves y.  With d = |y - y*| = exp(-u) and s = sign(y0 - y*) the system
+    reads d ln x2/du = -s*d*f2/H and dt/du = x2*d/|H|, integrated from
+    d = |y0 - y*| down to d = 1e-13 * (1 + y*).  H comes from yH, a cubic,
+    re-expanded about y* with the terms below the root's multiplicity set
+    to zero, so no distance to y* is ever formed by cancellation.  The
+    integrand decays like exp(-lam*u) at the end, with lam its own
+    logarithmic slope there, so the tail beyond is g/lam.
+    """
+    from scipy.integrate import solve_ivp
+
+    from hrflow.flow import make_rhs
+
+    f = make_rhs(coeffs)
+    p = coeffs.planar
+    yH = np.array([-(p.a2 + p.b1), p.b0, -p.a0, p.am1 + p.bm2])
+
+    def H_of(y):
+        f1, f2 = f(y, 1.0)
+        return f1 - y * f2
+
+    rising = H_of(y0) > 0.0
+    ahead = [(r, m) for r, m in es.roots if (r > y0 if rising else r < y0)]
+    y_star, mult = (min(ahead) if rising else max(ahead)) if ahead \
+        else (0.0, 0)
+    s = 1.0 if y0 > y_star else -1.0
+    # Taylor coefficients of yH about y*, lowest degree first
+    shifted = [np.polyval(np.polyder(yH, k), y_star) / math.factorial(k)
+               for k in range(4)]
+    shifted[:mult] = [0.0] * mult
+
+    def H_and_slope(d):
+        y = y_star + s * d
+        delta = s * d
+        yh = sum(c * delta ** k for k, c in enumerate(shifted))
+        dyh = sum(k * c * delta ** (k - 1) for k, c in enumerate(shifted)
+                  if k)
+        return y, yh / y, (dyh - yh / y) / y
+
+    def rhs(u, v):
+        d = math.exp(-u)
+        y, H, _ = H_and_slope(d)
+        f2 = f(y, 1.0)[1]
+        return [-s * d * f2 / H, math.exp(v[0]) * d / abs(H)]
+
+    u0 = -math.log(abs(y0 - y_star))
+    u1 = -math.log(1e-13 * (1.0 + y_star))
+    sol = solve_ivp(rhs, (u0, u1), [0.0, 0.0], method="DOP853",
+                    rtol=1e-12, atol=1e-15)
+    if not sol.success:
+        raise RuntimeError(sol.message)
+    ln_x2, t = sol.y[:, -1]
+    d = math.exp(-u1)
+    y, H, dH = H_and_slope(d)
+    f2 = f(y, 1.0)[1]
+    g = math.exp(ln_x2) * d / abs(H)
+    lam = s * d * f2 / H + 1.0 - s * d * dH / H
+    return t + g / lam
+
+
 def per_cell_csv(traj) -> str:
     """The CSV text of a trajectory with every cell formatted on its own
     by format(v, ".17g"), and an empty first-integral cell where it is

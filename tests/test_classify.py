@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 import hrflow as h
+from hrflow.classify import classify_starts
 from hrflow.errors import InsufficientHorizon, NotCollapsed, OnEinsteinRoot
 from hrflow.flow import IntegrationOptions, MetricState
+
+from randspaces import random_maximal_space, random_nonmaximal_space
 
 BWD = IntegrationOptions(direction=h.Direction.BACKWARD)
 
@@ -62,6 +65,31 @@ def test_regime_rejects_fixed_directions(fix_a):
         h.regime_of(fix_a, es, None, 1.0 + 1e-12)
     with pytest.raises(ValueError):
         h.regime_of(fix_a, es, None, -1.0)
+
+
+def test_start_labels_match_regime_of():
+    # classify_starts labels its starts itself: regime_of's label off the
+    # roots, fixed and the 1-based index of the root on them
+    rng = np.random.default_rng(6)
+    cases = set()
+    for i in range(60):
+        draw = random_nonmaximal_space if i % 2 == 0 else random_maximal_space
+        c = h.derive_coeffs(draw(rng))
+        es = h.einstein_roots(c)
+        cases.add(es.case_label)
+        y0s = list(np.exp(rng.uniform(np.log(0.05), np.log(20.0), 6)))
+        for r in es.values:
+            y0s += [r, r * (1.0 + 5e-10), r * (1.0 - 2e-8)]
+        reps = classify_starts(c, es, y0s)
+        for y0, rep in zip(y0s, reps):
+            k = es.locate(y0)[1]
+            if k >= 0:
+                assert rep.regime == h.RegimeLabel("fixed", int(k) + 1)
+                with pytest.raises(OnEinsteinRoot):
+                    h.regime_of(c, es, None, y0)
+            else:
+                assert rep.regime == h.regime_of(c, es, None, y0)
+    assert {"a", "c", "d", "f"} <= cases
 
 
 # --- classify_trajectory -----------------------------------------------------

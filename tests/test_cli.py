@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import math
@@ -265,6 +266,9 @@ def test_flow_undetermined_exit_code(tmp_path):
     ("flow", "--space", "FIX-A", "--y0", "0.7", "--horizon", "0.01"),
     # blowup's flow from the same start collapses after the horizon too
     ("blowup", "--space", "FIX-A", "--y0", "0.7", "--horizon", "0.01"),
+    # the first step guess is below the stepper's stagnation floor; the
+    # flow collapses at T = 1.19e6, after the default horizon
+    ("flow", "--space", "FIX-A", "--y0", "1e13"),
 ])
 def test_undetermined_runs_exit_3(tmp_path, argv):
     assert run_cli(*argv, "--out", str(tmp_path)) == 3
@@ -459,3 +463,35 @@ def test_benchmark_tracer_patch_points_exist(monkeypatch, tmp_path):
     assert {"cli", "cli.parser", "cli.csv", "spaces", "flow", "stepper",
             "einstein", "classify"} <= names
     assert tracer.counts["flow.rhs_evals"] > 0
+
+
+def test_no_module_imports_a_name_it_never_reads(monkeypatch):
+    # an import nothing reads is dead code; the only exemptions are the
+    # names perfbench/tracing.py patches in a module, which the tracer
+    # needs there even when the module itself does not call them.  The
+    # package __init__ imports to re-export, so it is not checked.
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    import tracing
+
+    src = Path(cli.__file__).parent
+    dead = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        module = f"hrflow.{path.stem}"
+        exempt = {attr for mod, attr, _ in tracing.SPANS if mod == module}
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {(a.asname or a.name).split(".")[0]
+                             for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and \
+                    node.module != "__future__":
+                imported |= {a.asname or a.name for a in node.names}
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        dead += [f"{module}.{name}"
+                 for name in sorted(imported - read - exempt)]
+    assert not dead

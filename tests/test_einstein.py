@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hrflow as h
+from hrflow.einstein import ROOT_EXCLUSION
 from hrflow.errors import NotAnEinsteinRoot
 
 from oracles import max_cubic, max_cubic_bound, nonmax_quadratic, sweep_roots
@@ -244,3 +245,42 @@ def test_root_residuals_are_tight(fix_d, fix_a):
     q = (float(fix_a.A) + float(fix_a.B), -float(fix_a.D), float(fix_a.C))
     for r in es2.values:
         assert abs(rt.eval_poly(q, r)) <= 1e-12 * rt.poly_scale(q, r)
+
+
+def _locate_reference(roots, y):
+    """Roots at or below y, and the first root within ROOT_EXCLUSION of it
+    (else -1), one root at a time."""
+    below = sum(r <= y for r in roots)
+    on = [k for k, r in enumerate(roots)
+          if abs(y - r) <= ROOT_EXCLUSION * (1.0 + r)]
+    return below, on[0] if on else -1
+
+
+def _probe_ratios(rng, roots):
+    """Log-uniform ratios, and ratios r*(1 +- k*1e-10) about every root r,
+    which straddle the tolerance of ``locate``."""
+    ys = list(np.exp(rng.uniform(np.log(1e-3), np.log(1e3), 50)))
+    k = np.arange(0, 201) * 1e-10
+    for r in roots:
+        ys += list(r * (1.0 + k)) + list(r * (1.0 - k))
+    return np.array(ys)
+
+
+def test_locate_against_a_per_root_reference():
+    rng = np.random.default_rng(4)
+    cases = set()
+    for i in range(80):
+        draw = random_nonmaximal_space if i % 2 == 0 else random_maximal_space
+        es = h.einstein_roots(h.derive_coeffs(draw(rng)))
+        cases.add(es.case_label)
+        ys = _probe_ratios(rng, es.values)
+        want = [_locate_reference(es.values, y) for y in ys.tolist()]
+        below, on = es.locate(ys)
+        assert list(zip(below.tolist(), on.tolist())) == want
+        for y, (b, k) in zip(ys[::7].tolist(), want[::7]):
+            sb, sk = es.locate(y)
+            assert (int(sb), int(sk)) == (b, k)
+            assert es.on_root(y) == (None if k < 0 else es.values[k])
+        # both faces tell a root from its tolerance boundary
+        assert any(k >= 0 for _, k in want) == bool(es.roots)
+    assert {"a", "c", "d", "f"} <= cases

@@ -45,9 +45,9 @@ GOLDEN = {
     ('SU42', 'portrait'):
         '3fdaa7bd77b57f070d2bf933106026755d01fc99d8384520f66caa44a445ad1d',
     ('SU42', 'sweep-grid'):
-        'bc6af2bd8272ba02e8eb8b8a124ccc8d9c49cee8b68c2609c1acb363782b62f9',
+        '4456fbd132a24d164cc6f3a7cfc6ede4266c8270b5c76b1255eaa8b6ba03e1bc',
     ('SU42', 'sweep-random'):
-        'cb89f03a548ff05a540b69f3114c56114d7e21c3f1855d15d7e3983808b74b20',
+        '6cc2d286ca17dc7902d49c5dc3f3a9869a9a6fec8dd277d3f4ca983492f94a66',
     ('SU42', 'flow'):
         'b3bc7d8c76f88bda8c8c3ac5d43f1f9dfe1162e1651f4d9f80bb36f287900b83',
     ('SU42', 'blowup'):
@@ -57,9 +57,9 @@ GOLDEN = {
     ('FIX-A', 'portrait'):
         'd03e641ab28498470c4491a1fc3fadb327fad66269f74c2ff17f66fe53c5f2d1',
     ('FIX-A', 'sweep-grid'):
-        'f4bc35bc6b82aa6f6b34e14146b8dc7a0ec827e63855192e0e77ae6324e11088',
+        '25d036b7ecc16e24a01cfee6b65a81ab74119a718e10fa2f5f815ca7ae04dff7',
     ('FIX-A', 'sweep-random'):
-        'ac1a1320dd68f061c590c6f7c494e1427e64f0519974979f91b9da33c51551ad',
+        'bb749cf2deeb6332581da7a4621c3d6dc07d73ed6e615bb440ef3471fa7987f1',
     ('FIX-A', 'flow'):
         '9b2476e6e13e49b0de15bb6e2967785bcb9d1bd2a338dbcae2304520636b2b91',
     ('FIX-A', 'blowup'):
@@ -81,9 +81,9 @@ GOLDEN = {
     ('FIX-C0', 'portrait'):
         '730c273991198b06c0561796cc391ced3e93688469c25303cf7376a119923382',
     ('FIX-C0', 'sweep-grid'):
-        '08b6751c8722dcc147faa3cdd44081b82f4552707ce5d277a94208448f6356d6',
+        '7b32e4fbe518be3d00838d070d44d734e6a40cb160530716e77c20ffa2d36344',
     ('FIX-C0', 'sweep-random'):
-        'fc0c5cc9c4044af3465e1e1109de077d2077cdff81e0153ec0dff24895b09e10',
+        'fc4473eb67b0b8282bca2ec67e1589c7059d0fca7e84949f5146748ee90d5587',
     ('FIX-C0', 'flow'):
         '8fbfbf645a4da43ced25764b872aee4e899235f1165c7ebc94982c1c820652a8',
     ('FIX-C0', 'blowup'):
@@ -93,9 +93,9 @@ GOLDEN = {
     ('FIX-D', 'portrait'):
         '2529ca128694095e8832ee64b48b4c0ed704d9e6642c34504508f6eae27e5a57',
     ('FIX-D', 'sweep-grid'):
-        '95fe1087732986852e464abb6b49ebf9a077406f681e088efdb0fbdde9b3b461',
+        '0b04366f3b64042046a066be1301fa56ab69c40551e6dd83fad628bede27ace2',
     ('FIX-D', 'sweep-random'):
-        '0b5f7f650505e4809839f20a71166e39cc1b3ba542b6d56a020bebb26bb3f075',
+        '3ccc850c9dee81dd42b0df5c8b652eb02793b4e7728914cc21a5fdafd39f8d1c',
     ('FIX-D', 'flow'):
         '865eab42877c61fea3c6b08da88862426575495d8e5ee80b9d05ef95467bc5e9',
     ('FIX-D', 'blowup'):
@@ -105,9 +105,9 @@ GOLDEN = {
     ('FIX-E', 'portrait'):
         '031fad9b1250acd41da1f164f81f465d63d2a8a4091533b003835b67592f1e22',
     ('FIX-E', 'sweep-grid'):
-        '6a8dd365bc8cb285000a40b8f543e74fe0e50c7e0aa68f57b75eadc177bdf392',
+        '0c5ffacd00652665fd7ab941e5935217cb8604a0a15d86424a090c9f27313aae',
     ('FIX-E', 'sweep-random'):
-        '1c22349bf6e83ed497d91a19aef5d3aef6d7b1420751ec4050c6e573da65f5ce',
+        'b179573e47dcb987f1a12cbe8a31b37d3cd45204d6b0e38acca764a6adccd6b2',
     ('FIX-E', 'flow'):
         'a9b6f256976c8af0bce849e8f4b301dd4661fdf64aff3d403c6bdf5b257d706c',
     ('FIX-E', 'blowup'):
@@ -117,9 +117,9 @@ GOLDEN = {
     ('FIX-E2', 'portrait'):
         '12826b60bea0cb9a40b3c00a87737eb8897ad1e4437b41dd40ebec6bf1a1bf2e',
     ('FIX-E2', 'sweep-grid'):
-        '4b33c14544fbdd4a399536d6060ccbabc8d9fea17c89193cee7d4d9a614e68ca',
+        '2ab155da9ce4e31ff7e053aab1050318a4b6424297f37cfacd4606f3d2ec4e14',
     ('FIX-E2', 'sweep-random'):
-        '1122bc8a87b0887d2e0b8088f6927a66744dfd935b590a0c956558019858891a',
+        'e01d3c8b782061cfb87a7a89e032a698029b31685b472a138371b2a34e7f9abc',
     ('FIX-E2', 'flow'):
         '264e8af722abb263ce2eb5814708133ab85796ff281321d7b8834d04c0ac73ae',
     ('FIX-E2', 'blowup'):
@@ -129,13 +129,13 @@ GOLDEN = {
     ('FIX-F', 'portrait'):
         '89effcc2cdd6b8a9bdef757753c1e8acbb9b20bbe3722323089fa6264dd3fdbe',
     ('FIX-F', 'sweep-grid'):
-        'aef32c70cab0f716c4410579447363732c43936699bdfd6a47784b34d8f78d5c',
+        '2418b8b6e49c2a4a92726f39c0ebc71f858d0355d9cd874efa0cfc75200d61c8',
     ('FIX-F', 'sweep-random'):
-        '0eafd03c8ee61e5ddb948c78a833acf248e1bf4d6480c058ed2e8f8067a44ae8',
+        'ef45aff16fd2920ce184bcafeaf2d3a428c38286ff71f0a0f0db24ef3a3b88ba',
     ('FIX-F', 'flow'):
-        '0ad6c2d4183ad8a6e69aa6e35662838b91a689f0b85f0f2ef8e25d8f83f81020',
+        '18d833069b353abbbee11b45f1062272f38ce30dbacc3d846187d7538f7bc602',
     ('FIX-F', 'blowup'):
-        'cd68ee6aa7401ca2b1526afa1272b799ac118660a6f89a28431d13725409f066',
+        '958a3701b8877c2d17abd4cf12f6a82afd75b00240384d781813b988e33c0f58',
 }
 
 

@@ -180,3 +180,16 @@ def test_random_maximal_spaces_derive(seed):
     c = h.derive_maximal_coeffs(sp)
     for v in (c.A1, c.B1, c.C1, c.A2, c.B2, c.C2):
         assert v > 0
+
+
+def test_get_space_builds_only_the_named_fixture(monkeypatch, spaces):
+    def refuse():
+        raise AssertionError("get_space built the whole catalog")
+
+    monkeypatch.setattr(h.spaces, "catalog", refuse)
+    for name, space in spaces.items():
+        assert h.get_space(name) == space, name
+    assert h.get_space("SPHERE(7)") == h.sphere(7)
+    assert list(spaces) == ["SU42", "SPHERE(2)", "SPHERE(3)", "SPHERE(5)",
+                            "FIX-A", "FIX-B", "FIX-C0", "FIX-D", "FIX-E",
+                            "FIX-E2", "FIX-F"]

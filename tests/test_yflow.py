@@ -13,7 +13,7 @@ from hrflow.classify import classify_starts
 from hrflow.flow import MetricState
 from hrflow.yflow import YFlow
 
-from oracles import dop853_singular_time
+from oracles import dop853_singular_time, log_distance_singular_time
 from randspaces import (
     random_maximal_space,
     random_nonmaximal_space,
@@ -30,11 +30,55 @@ def test_singular_time_against_dop853():
     assert max(errs) <= 1e-10, max(errs)
 
 
+def test_log_distance_oracle_against_dop853():
+    # the far-start oracle agrees with the plain one where both run
+    for c, es, y0 in random_starts(12, 40):
+        ref = dop853_singular_time(c, y0)
+        assert log_distance_singular_time(c, es, y0) == pytest.approx(
+            ref, rel=1e-10)
+
+
+FIXTURES = ("SU42", "FIX-A", "FIX-B", "FIX-C0", "FIX-D", "FIX-E", "FIX-E2",
+            "FIX-F")
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_singular_time_of_far_starts(name):
+    # log1p((y - y0)/(y0 - z)) near -1 lost the digits of y - z: 0.34
+    # relative error on FIX-F at 1e8, inf on SU42
+    c = h.derive_coeffs(h.get_space(name))
+    es = h.einstein_roots(c)
+    y0s = [1e4, 1e6, 1e8]
+    T = YFlow(c, es).run(y0s).T
+    ref = [log_distance_singular_time(c, es, y0) for y0 in y0s]
+    assert list(T) == pytest.approx(ref, rel=1e-9)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name", FIXTURES)
+def test_sweep_writes_only_finite_singular_times(tmp_path, name):
+    # far enough out T overflows; such a sweep is undetermined, not a
+    # file of nan cells that match the case table
+    code = cli.main(["sweep", "--space", name, "--y0-range", "1e4,1e300",
+                     "--count", "12", "--out", str(tmp_path)])
+    rows = (tmp_path / f"{name}_sweep.csv").read_text().splitlines()[1:]
+    assert code in (0, 3)
+    assert code == 3 or len(rows) == 12
+    assert all(np.isfinite(float(r.split(",")[4])) for r in rows)
+
+
+def test_sweep_of_far_starts_is_finite(tmp_path):
+    assert cli.main(["sweep", "--space", "FIX-D", "--y0-range", "1e19,1e21",
+                     "--count", "2", "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "FIX-D_sweep.csv").read_text().splitlines()[1:]
+    assert [np.isfinite(float(r.split(",")[4])) for r in rows] == [True] * 2
+
+
 def test_reports_agree_with_case_table():
     bad = []
     for c, es, y0 in random_starts(2, 400):
         regime = h.regime_of(c, es, None, y0)
-        (rep,) = classify_starts(c, es, [y0], [regime])
+        (rep,) = classify_starts(c, es, [y0])
         pred = h.predicted_report(regime, es, c)
         fields = {
             "outcome": rep.forward_outcome is pred.outcome,
@@ -58,7 +102,7 @@ def test_engine_consults_no_case_table(monkeypatch, fix_d):
     monkeypatch.setattr(classify, "regime_of", refuse)
     monkeypatch.setattr(classify, "predicted_report", refuse)
     es = h.einstein_roots(fix_d)
-    reps = classify_starts(fix_d, es, [0.25, 0.75, 1.5, 3.0], [None] * 4)
+    reps = classify_starts(fix_d, es, [0.25, 0.75, 1.5, 3.0])
     assert [r.forward_y_limit for r in reps] == pytest.approx(
         [0.5, 0.5, 2.0, 2.0])
     assert [r.ancient_exists for r in reps] == [False, True, True, False]
