@@ -195,20 +195,22 @@ def predicted_report(regime: RegimeLabel, einstein: EinsteinSet,
 # behaviour reports
 
 
-def classify_starts(coeffs: Coefficients, einstein: EinsteinSet, y0s, *,
-                    backward: bool = True, engine: YFlow | None = None,
-                    ) -> list[BehaviorReport]:
+def classify_starts(coeffs: Coefficients, einstein: EinsteinSet | None,
+                    y0s, *, backward: bool = True,
+                    engine: YFlow | None = None) -> list[BehaviorReport]:
     """Behaviour reports of the flows from (x1, x2) = (y0, 1), one per
     start and its regime, with every verdict and T from the closed form
-    along y (``yflow``, set up here unless ``engine`` is given);
-    ``backward=False`` leaves the ancient fields unset."""
+    along y (``yflow``): ``engine`` and its Einstein set when given, else
+    one set up from ``einstein`` (found when None).  ``backward=False``
+    leaves the ancient fields unset."""
     if engine is None:
-        engine = YFlow(coeffs, einstein)
+        engine = YFlow(coeffs, einstein_roots(coeffs) if einstein is None
+                       else einstein)
     ends = engine.run(y0s)
     shrink = _shrink_outcome(coeffs)
     t1, t2 = SingularType.TYPE_I, SingularType.TYPE_II
     reports = []
-    for i, regime in enumerate(_regimes(einstein, y0s)):
+    for i, regime in enumerate(_regimes(engine.es, y0s)):
         ancient = bool(ends.ancient[i]) if backward else None
         reports.append(BehaviorReport(
             regime=regime,
@@ -238,8 +240,8 @@ def classify_trajectory(fwd: Trajectory, bwd: Trajectory | None,
     ending is fine); without one the ancient fields stay unset.  The
     verdicts and the singular time come from the closed form along y for
     the start ``fwd.y[0]``, with T scaled by ``fwd.x2[0]``; the
-    trajectories themselves are not read further.  ``engine``, when given,
-    is the ``YFlow`` of ``coeffs`` and ``einstein``.
+    trajectories themselves are not read further.  ``einstein`` and
+    ``engine`` are as in ``classify_starts``.
     """
     if not fwd.termination.is_collapse:
         raise NotCollapsed(f"trajectory ended with {fwd.termination.value}")
@@ -247,8 +249,6 @@ def classify_trajectory(fwd: Trajectory, bwd: Trajectory | None,
         raise InsufficientHorizon(
             "backward integration exhausted its step budget before the "
             "horizon; raise max_steps or lower the horizon")
-    if einstein is None:
-        einstein = einstein_roots(coeffs)
     (rep,) = classify_starts(coeffs, einstein, fwd.y[:1],
                              backward=bwd is not None, engine=engine)
     return replace(rep, T_estimate=float(fwd.x2[0]) * rep.T_estimate)

@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 2 validation or configuration failure, 3 undetermined
 classification (a backward step budget that ran out, a forward flow that did
-not collapse within the horizon), 4 file input/output failure.  Raised
-errors are mapped to them in ``main`` alone.  All emitted files are
-plot-ready CSV or JSON with deterministic formatting; nothing is rendered.
+not collapse within the horizon, a triple Einstein root), 4 file input/output
+failure.  Raised errors are mapped to them in ``main`` alone.  All emitted
+files are plot-ready CSV or JSON with deterministic formatting; nothing is
+rendered.
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ from .einstein import (
 from .errors import (
     DomainError,
     HrflowError,
-    InsufficientHorizon,
     NotCollapsed,
     SpaceModelError,
+    Undetermined,
 )
 from .flow import (
     Direction,
@@ -210,7 +211,7 @@ def cmd_flow(args) -> int:
                         engine=engine)
         bwd.to_csv(os.path.join(args.out, f"{slug}_backward.csv"))
 
-    rep = classify_trajectory(fwd, bwd, coeffs, engine.es, engine=engine)
+    rep = classify_trajectory(fwd, bwd, coeffs, engine=engine)
     _write_json(os.path.join(args.out, f"{slug}_report.json"), rep.to_dict())
     print(f"{slug}: {rep.forward_outcome.value} ({rep.singular_type.value}), "
           f"T ~ {rep.T_estimate}, ancient = {rep.ancient_exists}")
@@ -275,7 +276,7 @@ def cmd_sweep(args) -> int:
     if args.count < 1:
         raise SpaceModelError("--count must be at least 1")
     lo, hi = _range(args.y0_range, "--y0-range")
-    es = einstein_roots(coeffs)
+    engine = YFlow(coeffs, einstein_roots(coeffs))
     if args.mode == "grid":
         y0s = np.geomspace(lo, hi, args.count) if args.count > 1 else np.array([lo])
     else:
@@ -289,25 +290,26 @@ def cmd_sweep(args) -> int:
         fh.write(header + "\n")
         for start in range(0, len(y0s), SWEEP_CHUNK):
             chunk = y0s[start:start + SWEEP_CHUNK].tolist()
-            for i, row in enumerate(_sweep_rows(coeffs, es, chunk), start):
+            for i, row in enumerate(_sweep_rows(coeffs, engine, chunk), start):
                 fh.write(f"{i}," + row + "\n")
     print(f"sweep written to {path}")
     return EXIT_OK
 
 
-def _sweep_rows(coeffs, es, y0s: list[float]) -> list[str]:
+def _sweep_rows(coeffs, engine: YFlow, y0s: list[float]) -> list[str]:
     """The nine fields after the index of each start; a fixed direction
     leaves all but y0 and the regime empty.  A row matches the case table
     when every field of ``predicted_report`` agrees, limits to 1e-2; a
     singular time that is not finite leaves the run undetermined."""
     out = []
-    for y0, rep in zip(y0s, classify_starts(coeffs, es, y0s)):
+    reps = classify_starts(coeffs, None, y0s, engine=engine)
+    for y0, rep in zip(y0s, reps):
         if rep.regime.family == "fixed":
             out.append(f"{_fmt(y0)},fixed" + "," * 7)
             continue
         if not math.isfinite(rep.T_estimate):
             raise NotCollapsed(f"T = {rep.T_estimate} from y0 = {y0}")
-        pred = predicted_report(rep.regime, es, coeffs)
+        pred = predicted_report(rep.regime, engine.es, coeffs)
         matches = (
             rep.forward_outcome is pred.outcome
             and _near(rep.forward_y_limit, pred.forward_y_limit)
@@ -443,7 +445,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"input/output failure: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (InsufficientHorizon, NotCollapsed) as exc:
+    except Undetermined as exc:
         print(f"undetermined: {exc}", file=sys.stderr)
         return EXIT_UNDETERMINED
     except SpaceModelError as exc:

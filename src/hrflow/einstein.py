@@ -20,6 +20,9 @@ from .spaces import Coefficients, MaxCoeffs
 
 #: refuse root-sensitive evaluations within this distance of a root
 ROOT_EXCLUSION = 1e-9
+#: a non-maximal constant term C below this is zero (family C0): the lower
+#: Einstein root would underflow.  The one place C0 is decided.
+C0_BELOW = 1e-300
 
 
 @dataclass(frozen=True)
@@ -83,7 +86,7 @@ def quadratic_einstein_roots(c: Coefficients) -> EinsteinSet:
     """Positive roots of C - D*y + (A+B)*y^2 with case classification."""
     a2, negD, C = poly = c.planar.homothety
     D = -negD
-    if C < 1e-300:  # zero, or so small the lower root underflows
+    if C < C0_BELOW:
         root = D / a2
         root = rt._newton_polish((a2, negD, 0.0), root, 0.0, math.inf)
         return EinsteinSet(((root, 1),), "C0")
@@ -170,7 +173,7 @@ def scalar_zero_directions(c: Coefficients) -> ScalarZeroDirections:
     poly = p.scalar_zero
     if len(poly) == 4:
         found = [r for r, _ in rt.cubic_real_roots(poly)]
-    elif p.a0 == 0.0:
+    elif p.a0 < C0_BELOW:
         return ScalarZeroDirections(
             positive_roots=(2.0 * p.b0 / p.b1,), negative_roots=(),
             has_zero_root=True,

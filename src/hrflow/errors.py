@@ -29,11 +29,15 @@ class OnEinsteinRoot(HrflowError):
     """An operation was evaluated too close to a fixed flow direction."""
 
 
-class NotCollapsed(HrflowError):
+class Undetermined(HrflowError):
+    """A valid input whose classification the numerics cannot decide."""
+
+
+class NotCollapsed(Undetermined):
     """A collapse-only operation received a trajectory without a collapse."""
 
 
-class InsufficientHorizon(HrflowError):
+class InsufficientHorizon(Undetermined):
     """Backward integration hit the step limit before the requested horizon."""
 
 

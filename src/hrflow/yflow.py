@@ -6,7 +6,8 @@ With H(y) = f1(y) - y*f2(y) the planar system gives
 
 so y runs monotonically from its start y0 to the nearest zero of H in the
 direction of sign H(y0), or to y = 0 when there is none; the zeros of H
-are the Einstein directions (plus y = 0 when the constant term vanishes).
+are the Einstein directions (plus y = 0 when the constant term vanishes),
+which the engine reads from the ``EinsteinSet`` and never decides itself.
 f2/H is rational, and its partial fractions over the real zeros, the pole
 at y = 0 of the maximal kind and the complex pair of cases c and f give
 ln x2(y) in closed form.  Each end of the flow is then decided by its
@@ -35,9 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .einstein import EinsteinSet
-from .errors import SpaceModelError
+from .errors import SpaceModelError, Undetermined
 from .roots import _derivative, eval_poly
-from .spaces import Coefficients, PlanarField
+from .spaces import Coefficients
 
 #: tanh-sinh nodes t = k*h cover |t| <= T_MAX, past which the weights are
 #: below 1e-21 of the integral
@@ -81,37 +82,35 @@ def _deflate(coeffs: list, r: float) -> list:
     return out
 
 
-def _trailing_zeros(coeffs) -> int:
-    n = 0
-    while n < len(coeffs) and coeffs[len(coeffs) - 1 - n] == 0.0:
-        n += 1
-    return n
-
-
 class YFlow:
     """The closed form of one space's flow, set up once per space.
 
     Points of the y axis that can end a flow are y = 0 and the Einstein
-    directions; for each the engine keeps the order of H's zero there
-    (-1 for the pole of H at y = 0 in the maximal kind), and the
-    coefficients ``a`` of 1/(y - z) and ``b`` of 1/(y - z)^2 in f2/H.
-    ``es`` is the Einstein set it was built from, which places the starts.
+    directions; for each the engine keeps the order ``h`` of H's zero
+    there (at y = 0: -1 for the pole of the maximal kind, 1 in family C0,
+    else 0), and the coefficients ``a`` of 1/(y - z) and ``b`` of
+    1/(y - z)^2 in f2/H.  ``es`` is the Einstein set it was built from,
+    which places the starts; a root of order above two is undetermined.
     """
 
-    def __init__(self, c: Coefficients | PlanarField, es: EinsteinSet):
+    def __init__(self, c: Coefficients, es: EinsteinSet):
+        if any(m > 2 for _, m in es.roots):
+            raise Undetermined(f"zeros of H of order above two in {es}")
         p = c.planar
-        lead = -(p.a2 + p.b1)
-        if not lead < 0.0:
-            raise SpaceModelError(
-                f"y^2 coefficient of H must be negative: {p}")
-        # y*H and y^2*f2 as cubics; the non-maximal kind has a factor y in
-        # the first (y^2 when its constant term C vanishes) and y^2 in the
-        # second
-        yH = [lead, p.b0, -p.a0, p.am1 + p.bm2]
-        y2f2 = [p.b1, -p.b0, 0.0, -p.bm2]
-        mu0 = _trailing_zeros(yH)
-        nu0 = _trailing_zeros(y2f2)
-        rest = yH[:4 - mu0]
+        hom = p.homothety
+        # f2 = y2f2/y^2 in both kinds (bm2 = 0 in the non-maximal one)
+        y2f2 = (p.b1, -p.b0, 0.0, -p.bm2)
+        # H = poly * y^h0 is homothety/y in the maximal kind and -homothety
+        # in the non-maximal one, whose constant term family C0 drops as
+        # einstein_roots decided; f2/H = num / (poly * y^k0)
+        if len(hom) == 4:
+            h0, poly, num, k0 = -1, hom, y2f2, 1
+        else:
+            h0 = int(es.case_label == "C0")
+            poly, num, k0 = [-v for v in hom[:3 - h0]], y2f2[:2], h0
+        # deflating the roots of es leaves a constant or the quadratic
+        # factor of the complex pair of cases c and f
+        rest = poly
         for r, m in es.roots:
             for _ in range(m):
                 rest = _deflate(rest, r)
@@ -122,19 +121,14 @@ class YFlow:
             if not disc > 0.0:
                 raise SpaceModelError(f"real zeros of H outside {es}")
             pair = complex(-c1 / (2.0 * c2), math.sqrt(disc) / (2.0 * abs(c2)))
-        elif len(rest) != 1:
-            raise SpaceModelError(f"a zero of H lies outside {es}")
 
         # f2/H = num / (lead * y^k0 * prod (y - r)^m * |y - pair|^2)
-        num = y2f2[:4 - nu0]
-        k0 = mu0 + 1 - nu0
+        lead = poly[0]
         poles = [(complex(r), m) for r, m in es.roots]
         if k0 > 0:
             poles.insert(0, (0j, k0))
         if pair is not None:
             poles += [(pair, 1), (pair.conjugate(), 1)]
-        if any(m > 2 for _, m in poles):
-            raise SpaceModelError(f"zeros of H of order above two in {es}")
         dnum = _derivative(num)
         coef = []   # (coefficient of 1/(y - z), of 1/(y - z)^2) per pole
         for i, (z, m) in enumerate(poles):
@@ -151,7 +145,7 @@ class YFlow:
                 coef.append((dg, g))
 
         self.z = np.array([0.0] + [r for r, _ in es.roots])
-        self.h = np.array([mu0 - 1] + [m for _, m in es.roots])
+        self.h = np.array([h0] + [m for _, m in es.roots])
         self.a = np.zeros(len(self.z))
         self.b = np.zeros(len(self.z))
         # the real poles are the last points of z, in order (y = 0 only

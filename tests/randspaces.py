@@ -7,6 +7,8 @@ while covering a wide coefficient range.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from hrflow.einstein import einstein_roots
@@ -63,3 +65,26 @@ def random_starts(seed: int, n: int):
         y0 = float(np.exp(rng.uniform(np.log(0.05), np.log(20.0))))
         assert es.on_root(y0) is None
         yield c, es, y0
+
+
+def c0_boundary_starts(seed: int, n: int):
+    """n random non-maximal tables on both sides of the a <-> C0 boundary,
+    as (derived coefficients, Einstein set, starts).
+
+    The constant term C is replaced by one log-uniform in [1e-323, 1e-3],
+    and by exactly 0 in every tenth table.  The starts are four ratios
+    log-uniform in [0.05, 20], plus half the lower root of case a when
+    that is not within the root exclusion of it; none is an Einstein
+    direction.
+    """
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        c = derive_coeffs(random_nonmaximal_space(rng, f"C0B{i}"))
+        ln_c = rng.uniform(np.log(1e-323), np.log(1e-3))
+        c = replace(c, C=0.0 if i % 10 == 9 else float(np.exp(ln_c)))
+        es = einstein_roots(c)
+        y0s = np.exp(rng.uniform(np.log(0.05), np.log(20.0), 4)).tolist()
+        if es.case_label == "a" and es.on_root(es.values[0] / 2) is None:
+            y0s.append(es.values[0] / 2)
+        assert all(es.on_root(y0) is None for y0 in y0s)
+        yield c, es, y0s

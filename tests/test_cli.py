@@ -2,6 +2,7 @@ import ast
 import hashlib
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 import hrflow as h
 from hrflow import cli, stepper
 from hrflow.cli import main
+from hrflow.yflow import YFlow
 
 from randspaces import random_maximal_space, random_nonmaximal_space
 from test_golden import Y0 as GOLDEN_Y0
@@ -305,6 +307,35 @@ def test_backward_runaway_exits_0(tmp_path, t285):
     report = _payload(tmp_path, "flow", "--space", str(path), "--backward",
                       "--y0", "0.23869060412924192")
     assert report["ancient_exists"] is False
+
+
+def test_triple_einstein_root_is_undetermined(tmp_path):
+    # H = -(y - 1)^3/y: the engine has no partial fractions for a zero of
+    # order three, which leaves the valid table undetermined, not invalid
+    third = Fraction(2, 3)
+    space = h.make_space("TRIPLE", d=(1, 1), b=(Fraction(11, 3),) * 2,
+                         triple_entries={(1, 1, 2): third, (1, 2, 2): third})
+    path = str(tmp_path / "triple.json")
+    h.dump_space(space, path)
+    common = ("--space", path, "--out", str(tmp_path))
+    assert run_cli("einstein", *common) == 0
+    assert h.einstein_roots(h.derive_coeffs(space)).roots == ((1.0, 3),)
+    for command in (("sweep",), ("flow", "--y0", "0.5", "--backward"),
+                    ("blowup", "--y0", "0.5")):
+        assert run_cli(*command, *common) == 3
+
+
+def test_sweep_sets_up_one_engine(monkeypatch, tmp_path):
+    built = []
+
+    def count(*args):
+        built.append(args)
+        return YFlow(*args)
+
+    monkeypatch.setattr(cli, "YFlow", count)
+    assert run_cli("sweep", "--space", "FIX-D", "--count",
+                   str(3 * cli.SWEEP_CHUNK), "--out", str(tmp_path)) == 0
+    assert len(built) == 1
 
 
 def test_blowup_limit_near_repelling_root(tmp_path, capsys):

@@ -141,6 +141,18 @@ def test_scalar_zero_c0(fix_c0):
     assert sz.negative_roots == ()
 
 
+@pytest.mark.parametrize("C, label", [(0.0, "C0"), (5e-301, "C0"),
+                                      (2e-300, "a")])
+def test_vanishing_constant_is_decided_once(C, label):
+    # the Einstein case and the scalar-zero rays read C through one test,
+    # so case C0 always comes with the zero ray
+    c = h.NonMaxCoeffs(A=0.5, B=0.5, C=C, D=2.0, d1=1, d2=2)
+    assert h.einstein_roots(c).case_label == label
+    sz = h.scalar_zero_directions(c)
+    assert sz.has_zero_root is (label == "C0")
+    assert sz.positive_roots == (pytest.approx(8.0),)
+
+
 def test_scalar_zero_fix_d(fix_d):
     sz = h.scalar_zero_directions(fix_d)
     assert len(sz.positive_roots) == 2 and len(sz.negative_roots) == 1

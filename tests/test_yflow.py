@@ -15,6 +15,7 @@ from hrflow.yflow import YFlow
 
 from oracles import dop853_singular_time, log_distance_singular_time
 from randspaces import (
+    c0_boundary_starts,
     random_maximal_space,
     random_nonmaximal_space,
     random_starts,
@@ -40,6 +41,33 @@ def test_log_distance_oracle_against_dop853():
 
 FIXTURES = ("SU42", "FIX-A", "FIX-B", "FIX-C0", "FIX-D", "FIX-E", "FIX-E2",
             "FIX-F")
+
+
+def _fixtures_and_draws():
+    for name in FIXTURES:
+        c = h.derive_coeffs(h.get_space(name))
+        yield c, h.einstein_roots(c)
+    for c, es, _ in random_starts(13, 200):
+        yield c, es
+    for c, es, _ in c0_boundary_starts(13, 60):
+        yield c, es
+
+
+def test_engine_takes_zeros_of_h_from_einstein_set():
+    # the points of the engine are y = 0 and the roots of es with their
+    # multiplicities; H has a pole at 0 in the maximal kind and a simple
+    # zero there in family C0 alone
+    labels = set()
+    for c, es in _fixtures_and_draws():
+        yf = YFlow(c, es)
+        assert yf.es is es
+        assert tuple(yf.z[1:]) == es.values
+        assert tuple(yf.h[1:]) == tuple(m for _, m in es.roots)
+        want = -1 if c.planar.maximal else int(es.case_label == "C0")
+        assert yf.h[0] == want
+        assert (yf.pair is not None) == (es.case_label in ("c", "f"))
+        labels.add(es.case_label)
+    assert labels == {"a", "b", "c", "C0", "d", "e", "f"}
 
 
 @pytest.mark.parametrize("name", FIXTURES)
@@ -93,6 +121,36 @@ def test_reports_agree_with_case_table():
             bad.append((str(regime), y0, [k for k, v in fields.items()
                                           if not v]))
     assert not bad
+
+
+def test_c0_boundary_verdicts_follow_case_table():
+    # a constant term below 1e-300 is family C0 for einstein_roots; the
+    # engine once counted only an exact 0.0 and refused such tables
+    bad, sides = [], set()
+    for c, es, y0s in c0_boundary_starts(21, 200):
+        sides.add((es.case_label, c.C == 0.0))
+        for y0, rep in zip(y0s, classify_starts(c, es, y0s)):
+            pred = h.predicted_report(rep.regime, es, c)
+            got = (rep.forward_outcome, rep.forward_y_limit,
+                   rep.ancient_exists, rep.ancient_type,
+                   rep.backward_y_limit)
+            want = (pred.outcome, pytest.approx(pred.forward_y_limit),
+                    pred.ancient_exists, pred.ancient_type,
+                    None if pred.backward_y_limit is None
+                    else pytest.approx(pred.backward_y_limit))
+            if got != want or not 0.0 < rep.T_estimate < np.inf:
+                bad.append((c.C, str(rep.regime), y0))
+    assert sides == {("a", False), ("C0", False), ("C0", True)}
+    assert not bad
+
+
+def test_c0_boundary_singular_time_against_dop853():
+    errs = []
+    for c, es, y0s in c0_boundary_starts(22, 30):
+        T = YFlow(c, es).run(y0s[:1]).T[0]
+        ref = dop853_singular_time(c, y0s[0])
+        errs.append(abs(T - ref) / ref)
+    assert max(errs) <= 1e-10, max(errs)
 
 
 def test_engine_consults_no_case_table(monkeypatch, fix_d):
@@ -172,6 +230,13 @@ def test_random_reports_are_scale_free(seed, maximal, ln_y0, ln_lam):
     else:
         assert rep.backward_y_limit == pytest.approx(
             pred.backward_y_limit, rel=1e-2, abs=1e-2)
+
+
+def test_given_engine_supplies_the_einstein_set(fix_d):
+    engine = YFlow(fix_d, h.einstein_roots(fix_d))
+    y0s = [0.25, 0.75, 1.5, 3.0]
+    assert classify_starts(fix_d, None, y0s, engine=engine) == \
+        classify_starts(fix_d, h.einstein_roots(fix_d), y0s)
 
 
 def test_fixed_direction_is_a_homothety(fix_a):
