@@ -8,8 +8,9 @@ limit is exact: the rescaled pair depends on y = x1/x2 alone, so
 ``limit_at`` evaluates it at the limiting direction and collapse mode that
 ``yflow`` decides from the start.  ``hrflow blowup`` takes both the limit
 and the singular time from that closed form and steps no trajectory;
-``soliton_limit`` reads only the start of a sampled forward run, and
-``rescale_at`` rescales a sampled trajectory at one base time.
+``soliton_limit`` reads only the start of a sampled forward run and the
+engine the run carries, and ``rescale_at`` rescales a sampled trajectory
+at one base time.
 """
 
 from __future__ import annotations
@@ -18,11 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .einstein import EinsteinSet
 from .errors import NotCollapsed, OutOfRange, Unclassified
 from .flow import Direction, Trajectory
 from .spaces import Coefficients
-from .yflow import YFlow
 
 
 @dataclass(frozen=True)
@@ -101,14 +100,14 @@ def limit_at(c: Coefficients, y_star: float, shrinks: bool) -> SolitonLimit:
     )
 
 
-def soliton_limit(traj: Trajectory, es: EinsteinSet) -> SolitonLimit:
+def soliton_limit(traj: Trajectory) -> SolitonLimit:
     """The blow-up limit of the flow that a forward collapsed run starts,
-    at the limiting direction y* that ``yflow`` decides from the start
-    ``traj.y[0]`` alone (see ``limit_at``)."""
+    at the limiting direction y* that ``traj.engine`` decides from the
+    start ``traj.y[0]`` alone (see ``limit_at``)."""
     if traj.direction is not Direction.FORWARD:
         raise Unclassified("blow-up limits are read from forward trajectories")
     if not traj.termination.is_collapse:
         raise NotCollapsed(f"trajectory ended with {traj.termination.value}")
-    engine = YFlow(traj.coeffs, es)
+    engine = traj.engine
     end, _, shrinks = engine.forward_end(traj.y[:1])
-    return limit_at(traj.coeffs, engine.z[end[0]], bool(shrinks[0]))
+    return limit_at(engine.c, engine.z[end[0]], bool(shrinks[0]))

@@ -4,10 +4,11 @@ A regime places the starting direction y0 among the homothety roots; the
 case families are a, b, c (non-maximal by root count), C0 (vanishing
 constant term) and d, e, f (maximal by root count), and
 ``predicted_report`` holds the case table's outcome for each.  A behaviour
-report is decided independently of both, in closed form along y by
-``yflow``: collapse mode, singularity type (whether (T - t) * kappa stays
-bounded), ancient existence and type (whether |t| * kappa does), the
-limiting directions at both ends and the singular time.
+report is decided independently of both, in closed form along y by the
+space's ``YFlow``, all it reads of the space: collapse mode, singularity
+type (whether (T - t) * kappa stays bounded), ancient existence and type
+(whether |t| * kappa does), the limiting directions at both ends and the
+singular time.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .einstein import CriticalDirections, EinsteinSet, einstein_roots
+from .einstein import CriticalDirections, EinsteinSet
+# not called here; the benchmark tracer (perfbench/tracing.py) wraps this name
+from .einstein import einstein_roots  # noqa: F401
 from .errors import (
     InsufficientHorizon,
     NotCollapsed,
@@ -195,19 +198,14 @@ def predicted_report(regime: RegimeLabel, einstein: EinsteinSet,
 # behaviour reports
 
 
-def classify_starts(coeffs: Coefficients, einstein: EinsteinSet | None,
-                    y0s, *, backward: bool = True,
-                    engine: YFlow | None = None) -> list[BehaviorReport]:
-    """Behaviour reports of the flows from (x1, x2) = (y0, 1), one per
-    start and its regime, with every verdict and T from the closed form
-    along y (``yflow``): ``engine`` and its Einstein set when given, else
-    one set up from ``einstein`` (found when None).  ``backward=False``
-    leaves the ancient fields unset."""
-    if engine is None:
-        engine = YFlow(coeffs, einstein_roots(coeffs) if einstein is None
-                       else einstein)
+def classify_starts(engine: YFlow, y0s, *,
+                    backward: bool = True) -> list[BehaviorReport]:
+    """Behaviour reports of the flows from (x1, x2) = (y0, 1) in the space
+    of ``engine``, one per start and its regime, with every verdict and T
+    from the closed form along y.  ``backward=False`` leaves the ancient
+    fields unset."""
     ends = engine.run(y0s)
-    shrink = _shrink_outcome(coeffs)
+    shrink = _shrink_outcome(engine.c)
     t1, t2 = SingularType.TYPE_I, SingularType.TYPE_II
     reports = []
     for i, regime in enumerate(_regimes(engine.es, y0s)):
@@ -228,20 +226,16 @@ def classify_starts(coeffs: Coefficients, einstein: EinsteinSet | None,
     return reports
 
 
-def classify_trajectory(fwd: Trajectory, bwd: Trajectory | None,
-                        coeffs: Coefficients,
-                        einstein: EinsteinSet | None = None, *,
-                        engine: YFlow | None = None,
-                        ) -> BehaviorReport:
+def classify_trajectory(fwd: Trajectory,
+                        bwd: Trajectory | None) -> BehaviorReport:
     """The behaviour report of the flow that ``fwd`` starts.
 
     The forward trajectory must have collapsed, and a backward trajectory,
     when given, must not have run out of steps (a horizon or a runaway
     ending is fine); without one the ancient fields stay unset.  The
     verdicts and the singular time come from the closed form along y for
-    the start ``fwd.y[0]``, with T scaled by ``fwd.x2[0]``; the
-    trajectories themselves are not read further.  ``einstein`` and
-    ``engine`` are as in ``classify_starts``.
+    the start ``fwd.y[0]`` in the space of ``fwd.engine``, with T scaled
+    by ``fwd.x2[0]``; the trajectories themselves are not read further.
     """
     if not fwd.termination.is_collapse:
         raise NotCollapsed(f"trajectory ended with {fwd.termination.value}")
@@ -249,6 +243,5 @@ def classify_trajectory(fwd: Trajectory, bwd: Trajectory | None,
         raise InsufficientHorizon(
             "backward integration exhausted its step budget before the "
             "horizon; raise max_steps or lower the horizon")
-    (rep,) = classify_starts(coeffs, einstein, fwd.y[:1],
-                             backward=bwd is not None, engine=engine)
+    (rep,) = classify_starts(fwd.engine, fwd.y[:1], backward=bwd is not None)
     return replace(rep, T_estimate=float(fwd.x2[0]) * rep.T_estimate)

@@ -211,7 +211,7 @@ def cmd_flow(args) -> int:
                         engine=engine)
         bwd.to_csv(os.path.join(args.out, f"{slug}_backward.csv"))
 
-    rep = classify_trajectory(fwd, bwd, coeffs, engine=engine)
+    rep = classify_trajectory(fwd, bwd)
     _write_json(os.path.join(args.out, f"{slug}_report.json"), rep.to_dict())
     print(f"{slug}: {rep.forward_outcome.value} ({rep.singular_type.value}), "
           f"T ~ {rep.T_estimate}, ancient = {rep.ancient_exists}")
@@ -290,26 +290,26 @@ def cmd_sweep(args) -> int:
         fh.write(header + "\n")
         for start in range(0, len(y0s), SWEEP_CHUNK):
             chunk = y0s[start:start + SWEEP_CHUNK].tolist()
-            for i, row in enumerate(_sweep_rows(coeffs, engine, chunk), start):
+            for i, row in enumerate(_sweep_rows(engine, chunk), start):
                 fh.write(f"{i}," + row + "\n")
     print(f"sweep written to {path}")
     return EXIT_OK
 
 
-def _sweep_rows(coeffs, engine: YFlow, y0s: list[float]) -> list[str]:
+def _sweep_rows(engine: YFlow, y0s: list[float]) -> list[str]:
     """The nine fields after the index of each start; a fixed direction
     leaves all but y0 and the regime empty.  A row matches the case table
     when every field of ``predicted_report`` agrees, limits to 1e-2; a
     singular time that is not finite leaves the run undetermined."""
     out = []
-    reps = classify_starts(coeffs, None, y0s, engine=engine)
+    reps = classify_starts(engine, y0s)
     for y0, rep in zip(y0s, reps):
         if rep.regime.family == "fixed":
             out.append(f"{_fmt(y0)},fixed" + "," * 7)
             continue
         if not math.isfinite(rep.T_estimate):
             raise NotCollapsed(f"T = {rep.T_estimate} from y0 = {y0}")
-        pred = predicted_report(rep.regime, engine.es, coeffs)
+        pred = predicted_report(rep.regime, engine.es, engine.c)
         matches = (
             rep.forward_outcome is pred.outcome
             and _near(rep.forward_y_limit, pred.forward_y_limit)

@@ -48,11 +48,13 @@ class EinsteinSet:
 
     def locate(self, ys):
         """Per ratio of ``ys``: the number of roots at or below it, and the
-        index of the root it lies within ROOT_EXCLUSION * (1 + root) of, or
+        index of the root it lies within ROOT_EXCLUSION * min(1 + root,
+        2 * root) of (relative below 1, so a tiny root stays narrow), or
         -1.  The one place a ratio is compared with the roots."""
         y = np.asarray(ys, dtype=float)
         r = np.array(self.values)
-        near = np.abs(y[..., None] - r) <= ROOT_EXCLUSION * (1.0 + r)
+        near = (np.abs(y[..., None] - r)
+                <= ROOT_EXCLUSION * np.minimum(1.0 + r, 2.0 * r))
         # distinct roots lie MERGE_TOL apart, so a ratio is near one at most
         return (np.searchsorted(r, y, side="right"),
                 near @ np.arange(1, r.size + 1) - 1)

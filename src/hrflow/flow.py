@@ -7,8 +7,9 @@ collapse threshold; backward integration probes ancient existence by
 reversing the vector field.  Every run steps x/x2(0) from (y0, 1), so its
 thresholds are in units of the starting x2 and a run at any scale takes
 the same steps.  Each sample carries the first integral exp(Phi(y))/x2,
-with Phi from the closed form of ``yflow``.  Both isotropy kinds run
-through the one planar-field form of ``spaces.PlanarField``.
+with Phi from the space's ``YFlow``, which the trajectory carries.  Both
+isotropy kinds run through the one planar-field form of
+``spaces.PlanarField``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from . import stepper
-from .einstein import EinsteinSet, einstein_roots
+from .einstein import einstein_roots
 from .errors import DomainError, NonpositiveC, OnEinsteinRoot, SpaceModelError
 from .spaces import (
     Coefficients,
@@ -89,7 +90,7 @@ class IntegrationOptions:
             raise ValueError("collapse_epsilon must be positive")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trajectory:
     """Sampled solution with per-sample curvature diagnostics."""
 
@@ -105,7 +106,9 @@ class Trajectory:
     T_estimate: float | None
     final_rhs: tuple[float, float]
     t0: float
-    coeffs: Coefficients
+    #: the space's engine, which wrote first_integral: Phi is defined up to
+    #: a constant, so the column has a meaning only relative to it
+    engine: YFlow
 
     @property
     def n_samples(self) -> int:
@@ -239,21 +242,19 @@ def _kappa_arrays(x1, x2, c: Coefficients):
 # the first integral along y
 
 
-def first_integral(state: MetricState, c: Coefficients,
-                   es: EinsteinSet | None = None) -> float:
+def first_integral(state: MetricState, c: Coefficients) -> float:
     """exp(Phi(y))/x2, conserved along every flow of both kinds.
 
     Phi is the integral of f2/H over y (``YFlow.log_x2``), so
     d ln x2/dy = f2/H makes ln x2 - Phi(y) constant.  Raises
     OnEinsteinRoot on a root (``EinsteinSet.on_root``), where Phi diverges.
     """
-    if es is None:
-        es = einstein_roots(c)
-    hit = es.on_root(state.y)
+    engine = YFlow(c, einstein_roots(c))
+    hit = engine.es.on_root(state.y)
     if hit is not None:
         raise OnEinsteinRoot(
             f"y = {state.y} is within tolerance of the root {hit}")
-    return float(_first_integral_of(YFlow(c, es), state.x2, state.y))
+    return float(_first_integral_of(engine, state.x2, state.y))
 
 
 def _first_integral_of(yf: YFlow, x2, y):
@@ -291,7 +292,8 @@ def integrate(model, init: MetricState,
     vanishing coordinate.  The first integral is NaN on a root (as
     ``EinsteinSet.locate`` places it) and wherever it would not be a normal
     float.  A caller that runs several flows of one space passes its
-    ``YFlow`` engine, which is otherwise set up here.
+    ``YFlow``, else one is set up here; one built for other coefficients
+    raises ValueError.  The trajectory carries it.
     """
     opts = opts or IntegrationOptions()
     c = as_coefficients(model)
@@ -301,6 +303,10 @@ def integrate(model, init: MetricState,
         raise DomainError(
             f"initial state {init} is already at the collapse threshold "
             f"{eps} (in units of x2)")
+    if engine is None:
+        engine = YFlow(c, einstein_roots(c))
+    elif engine.c != c:
+        raise ValueError(f"the engine was built for {engine.c}, not {c}")
     y0 = init.x1 / scale
     backward = opts.direction is Direction.BACKWARD
     f = make_rhs(c.planar.time_reversed() if backward else c)
@@ -320,8 +326,6 @@ def integrate(model, init: MetricState,
     y = u1 / u2
 
     termination, t_est = _terminal_info(raw, opts, init.t, sgn, scale)
-    if engine is None:
-        engine = YFlow(c, einstein_roots(c))
     guard = engine.es.locate(y)[1] < 0
     lam = np.full_like(x1, np.nan)
     lam[guard] = _first_integral_of(engine, x2[guard], y[guard])
@@ -336,7 +340,7 @@ def integrate(model, init: MetricState,
         T_estimate=t_est,
         final_rhs=(sgn * raw.final_rhs[0], sgn * raw.final_rhs[1]),
         t0=init.t,
-        coeffs=c,
+        engine=engine,
     )
 
 

@@ -83,14 +83,16 @@ def _deflate(coeffs: list, r: float) -> list:
 
 
 class YFlow:
-    """The closed form of one space's flow, set up once per space.
+    """The closed form of one space's flow, set up once per space as
+    ``YFlow(c, einstein_roots(c))``: the one handle of the space.
 
     Points of the y axis that can end a flow are y = 0 and the Einstein
     directions; for each the engine keeps the order ``h`` of H's zero
     there (at y = 0: -1 for the pole of the maximal kind, 1 in family C0,
     else 0), and the coefficients ``a`` of 1/(y - z) and ``b`` of
-    1/(y - z)^2 in f2/H.  ``es`` is the Einstein set it was built from,
-    which places the starts; a root of order above two is undetermined.
+    1/(y - z)^2 in f2/H.  It keeps the coefficients ``c`` and the Einstein
+    set ``es`` (which places the starts) it was built from; a root of
+    order above two is undetermined.
     """
 
     def __init__(self, c: Coefficients, es: EinsteinSet):
@@ -159,6 +161,7 @@ class YFlow:
         self.a_inf = float(self.a.sum() + 2.0 * self.pair_a.real)
         self.lead = lead
         self.y2f2 = y2f2
+        self.c = c
         self.es = es
 
     def log_x2(self, y):

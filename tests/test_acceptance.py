@@ -59,7 +59,7 @@ def test_criterion_02_su42_dynamics(su42):
     failures = []
     for y0 in np.geomspace(0.05, 20.0, 20):
         fwd, bwd = _pair(su42, float(y0), scale=scale, horizon=1e5)
-        rep = h.classify_trajectory(fwd, bwd, su42)
+        rep = h.classify_trajectory(fwd, bwd)
         checks = {
             "fwd CollapseX1": fwd.termination is h.Termination.COLLAPSE_X1,
             "x2(T) > 0.1": float(fwd.x2[-1]) > 0.1,
@@ -131,7 +131,7 @@ def test_criterion_04_first_integral_conservation(fix_a, fix_b):
 
 def test_criterion_05_connecting_orbit(fix_a):
     fwd, bwd = _pair(fix_a, 0.75, horizon=1e3)
-    rep = h.classify_trajectory(fwd, bwd, fix_a)
+    rep = h.classify_trajectory(fwd, bwd)
     err_f = abs(rep.forward_y_limit - 1.0)
     err_b = abs(rep.backward_y_limit - 0.5)
     ok = (
@@ -145,7 +145,7 @@ def test_criterion_05_connecting_orbit(fix_a):
 
 def test_criterion_06_c0_type_two(fix_c0):
     fwd, bwd = _pair(fix_c0, 0.75, horizon=1e3)
-    rep = h.classify_trajectory(fwd, bwd, fix_c0)
+    rep = h.classify_trajectory(fwd, bwd)
     el = bwd.elapsed
     win = el >= el[-1] / 100.0
     q = el[win] * bwd.kappa[win]
@@ -186,7 +186,7 @@ def test_criterion_07_maximal_matrix(spaces):
         c = h.derive_maximal_coeffs(spaces[name])
         es = h.einstein_roots(c)
         fwd, bwd = _pair(c, y0)
-        rep = h.classify_trajectory(fwd, bwd, c, es)
+        rep = h.classify_trajectory(fwd, bwd)
         checks = {
             "regime": str(rep.regime) == regime,
             "outcome": rep.forward_outcome is h.Outcome.SIMULTANEOUS_COLLAPSE,
@@ -270,11 +270,11 @@ def test_criterion_09_root_solver_oracle():
 
 def test_criterion_10_blowup_limits(fix_a, su42):
     fwd = h.integrate(fix_a, MetricState(0.0, 0.75, 1.0))
-    rep = h.classify_trajectory(fwd, None, fix_a)
-    lim = h.soliton_limit(fwd, h.einstein_roots(fix_a))
+    rep = h.classify_trajectory(fwd, None)
+    lim = h.soliton_limit(fwd)
     err = abs(lim.ratio - rep.forward_y_limit)
     fsu = h.integrate(su42, MetricState(0.0, 1.0, 1.0))
-    lim2 = h.soliton_limit(fsu, h.einstein_roots(su42))
+    lim2 = h.soliton_limit(fsu)
     ok = (
         lim.kind == "EinsteinPoint" and err <= 1e-3
         and lim2.kind == "RigidProduct" and lim2.flat_dim == 5

@@ -10,12 +10,11 @@ from randspaces import random_starts
 
 def test_einstein_point_limit(fix_a):
     fwd = h.integrate(fix_a, MetricState(0.0, 0.75, 1.0))
-    es = h.einstein_roots(fix_a)
-    lim = h.soliton_limit(fwd, es)
+    lim = h.soliton_limit(fwd)
     assert lim.kind == "EinsteinPoint"
     assert lim.flat_dim is None
     # the limiting direction matches the forward ratio limit
-    rep = h.classify_trajectory(fwd, None, fix_a)
+    rep = h.classify_trajectory(fwd, None)
     assert lim.ratio == rep.forward_y_limit
     # pair solves the shrink-rate system after rescaling onto it
     k1, k2 = h.einstein_scale_constants(fix_a, 1.0)
@@ -25,7 +24,7 @@ def test_einstein_point_limit(fix_a):
 
 def test_rigid_product_limit(su42):
     fwd = h.integrate(su42, MetricState(0.0, 1.0, 1.0))
-    lim = h.soliton_limit(fwd, h.einstein_roots(su42))
+    lim = h.soliton_limit(fwd)
     assert lim.kind == "RigidProduct"
     assert lim.flat_dim == 5
     assert lim.fiber_constant == 1.0
@@ -64,36 +63,31 @@ def test_rescaled_base_metric_diverges_under_fiber_collapse(su42):
 
 
 def test_scale_invariance_of_limit(fix_a, su42):
-    es = h.einstein_roots(fix_a)
-    base = h.soliton_limit(h.integrate(fix_a, MetricState(0.0, 0.75, 1.0)), es)
+    base = h.soliton_limit(h.integrate(fix_a, MetricState(0.0, 0.75, 1.0)))
     scaled = h.soliton_limit(
-        h.integrate(fix_a, MetricState(0.0, 3 * 0.75, 3.0)), es)
+        h.integrate(fix_a, MetricState(0.0, 3 * 0.75, 3.0)))
     assert scaled == base and base.kind == "EinsteinPoint"
-    es_su = h.einstein_roots(su42)
-    b2 = h.soliton_limit(h.integrate(su42, MetricState(0.0, 0.5, 0.5)), es_su)
+    b2 = h.soliton_limit(h.integrate(su42, MetricState(0.0, 0.5, 0.5)))
     assert b2.kind == "RigidProduct" and b2.flat_dim == 5
 
 
 def test_limit_ignores_the_collapse_threshold(fix_a):
     # the limit is read at the limiting direction, not from the sampled tail
-    es = h.einstein_roots(fix_a)
     init = MetricState(0.0, 0.75, 1.0)
     fat = h.integrate(fix_a, init, IntegrationOptions(collapse_epsilon=0.3))
-    assert h.soliton_limit(fat, es) == h.soliton_limit(
-        h.integrate(fix_a, init), es)
+    assert h.soliton_limit(fat) == h.soliton_limit(h.integrate(fix_a, init))
 
 
 def test_backward_run_unclassified(fix_a):
     bwd = h.integrate(fix_a, MetricState(0.0, 0.75, 1.0),
                       IntegrationOptions(direction=h.Direction.BACKWARD))
     with pytest.raises(Unclassified):
-        h.soliton_limit(bwd, h.einstein_roots(fix_a))
+        h.soliton_limit(bwd)
 
 
 def test_fixed_direction_limit_is_exact(fix_a):
     # (2, 2) lies on the Einstein direction y = 1, where q(1) = (3, 3)
-    lim = h.soliton_limit(h.integrate(fix_a, MetricState(0.0, 2.0, 2.0)),
-                          h.einstein_roots(fix_a))
+    lim = h.soliton_limit(h.integrate(fix_a, MetricState(0.0, 2.0, 2.0)))
     assert lim.kind == "EinsteinPoint"
     assert lim.pair == (3.0, 3.0) and lim.ratio == 1.0
 
@@ -117,7 +111,7 @@ def test_limits_against_case_table_and_stepper_tail():
     unresolved = []
     for i, (c, es, y0) in enumerate(random_starts(3, 200)):
         fwd = h.integrate(c, MetricState(0.0, y0, 1.0))
-        lim = h.soliton_limit(fwd, es)
+        lim = h.soliton_limit(fwd)
         pred = h.predicted_report(h.regime_of(c, es, None, y0), es, c)
         fiber = pred.outcome is h.Outcome.FIBER_COLLAPSE
         assert lim.kind == ("RigidProduct" if fiber else "EinsteinPoint"), i
@@ -127,7 +121,7 @@ def test_limits_against_case_table_and_stepper_tail():
         else:
             want = np.array(lim.pair)
             assert lim.ratio == h.classify_trajectory(
-                fwd, None, c, es).forward_y_limit, i
+                fwd, None).forward_y_limit, i
             k1, k2 = h.einstein_scale_constants(c, lim.ratio)
             assert lim.pair[1] * k1 / lim.pair[0] == pytest.approx(
                 k2, rel=1e-10, abs=1e-10), i
@@ -142,7 +136,7 @@ def test_limits_against_case_table_and_stepper_tail():
 
 def test_maximal_interior_band_limits_at_lower_root(fix_d):
     fwd = h.integrate(fix_d, MetricState(0.0, 0.75, 1.0))
-    lim = h.soliton_limit(fwd, h.einstein_roots(fix_d))
+    lim = h.soliton_limit(fwd)
     assert lim.kind == "EinsteinPoint"
     assert lim.ratio == pytest.approx(0.5, rel=1e-12)
     assert lim.pair == pytest.approx((3.75, 7.5), rel=1e-12)

@@ -5,6 +5,7 @@ import hrflow as h
 from hrflow.classify import classify_starts
 from hrflow.errors import InsufficientHorizon, NotCollapsed, OnEinsteinRoot
 from hrflow.flow import IntegrationOptions, MetricState
+from hrflow.yflow import YFlow
 
 from randspaces import random_maximal_space, random_nonmaximal_space
 
@@ -80,7 +81,7 @@ def test_start_labels_match_regime_of():
         y0s = list(np.exp(rng.uniform(np.log(0.05), np.log(20.0), 6)))
         for r in es.values:
             y0s += [r, r * (1.0 + 5e-10), r * (1.0 - 2e-8)]
-        reps = classify_starts(c, es, y0s)
+        reps = classify_starts(YFlow(c, es), y0s)
         for y0, rep in zip(y0s, reps):
             k = es.locate(y0)[1]
             if k >= 0:
@@ -97,7 +98,7 @@ def test_start_labels_match_regime_of():
 
 def test_classify_su42(su42):
     fwd, bwd = run_pair(su42, 1.0)
-    rep = h.classify_trajectory(fwd, bwd, su42)
+    rep = h.classify_trajectory(fwd, bwd)
     assert str(rep.regime) == "c"
     assert rep.forward_outcome is h.Outcome.FIBER_COLLAPSE
     assert rep.singular_type is h.SingularType.TYPE_I
@@ -108,7 +109,7 @@ def test_classify_su42(su42):
 
 def test_classify_fix_a_connecting_orbit(fix_a):
     fwd, bwd = run_pair(fix_a, 0.75)
-    rep = h.classify_trajectory(fwd, bwd, fix_a)
+    rep = h.classify_trajectory(fwd, bwd)
     assert str(rep.regime) == "a2"
     assert rep.forward_outcome is h.Outcome.SHRINK_TO_POINT
     assert rep.singular_type is h.SingularType.TYPE_I
@@ -120,7 +121,7 @@ def test_classify_fix_a_connecting_orbit(fix_a):
 
 def test_classify_c0_type_two(fix_c0):
     fwd, bwd = run_pair(fix_c0, 0.75)
-    rep = h.classify_trajectory(fwd, bwd, fix_c0)
+    rep = h.classify_trajectory(fwd, bwd)
     assert str(rep.regime) == "C0/below"
     assert rep.forward_outcome is h.Outcome.SHRINK_TO_POINT
     assert rep.singular_type is h.SingularType.TYPE_I
@@ -131,7 +132,7 @@ def test_classify_c0_type_two(fix_c0):
 
 def test_classify_report_serialises(fix_a):
     fwd, bwd = run_pair(fix_a, 0.75)
-    rep = h.classify_trajectory(fwd, bwd, fix_a)
+    rep = h.classify_trajectory(fwd, bwd)
     d = rep.to_dict()
     assert set(d) == {"regime", "forward_outcome", "singular_type",
                       "forward_y_limit", "ancient_exists", "ancient_type",
@@ -148,7 +149,7 @@ def test_insufficient_horizon_raises(fix_a):
     bwd = h.integrate(fix_a, init, starved)
     assert bwd.termination is h.Termination.STEP_LIMIT
     with pytest.raises(InsufficientHorizon):
-        h.classify_trajectory(fwd, bwd, fix_a)
+        h.classify_trajectory(fwd, bwd)
 
 
 def test_blowup_limit_requires_collapse(fix_a):
@@ -156,7 +157,7 @@ def test_blowup_limit_requires_collapse(fix_a):
                       IntegrationOptions(max_time=0.01))
     assert cut.termination is h.Termination.HORIZON_REACHED
     with pytest.raises(NotCollapsed):
-        h.soliton_limit(cut, h.einstein_roots(fix_a))
+        h.soliton_limit(cut)
 
 
 # --- singular-time estimate -------------------------------------------------
@@ -233,7 +234,7 @@ def test_case_analysis_matrix(spaces, name, y0, regime, kind, root_f, anc,
     coeffs = h.derive_coeffs(spaces[name])
     es = h.einstein_roots(coeffs)
     fwd, bwd = run_pair(coeffs, y0)
-    rep = h.classify_trajectory(fwd, bwd, coeffs, es)
+    rep = h.classify_trajectory(fwd, bwd)
     assert str(rep.regime) == regime
     assert rep.singular_type is h.SingularType.TYPE_I
     if kind == "fiber":

@@ -325,6 +325,20 @@ def test_triple_einstein_root_is_undetermined(tmp_path):
         assert run_cli(*command, *common) == 3
 
 
+def test_sweep_near_a_tiny_einstein_root(tmp_path):
+    # lower Einstein root 5e-13: the starts lie far above it relative to
+    # its size, in regime a2, not on it
+    space = h.make_space("TINY", d=(1, 2), b=(1 + Fraction(1, 10**12), 2),
+                         triple_entries={(1, 2, 2): 1})
+    path = str(tmp_path / "tiny.json")
+    h.dump_space(space, path)
+    assert run_cli("sweep", "--space", path, "--y0-range", "1e-10,5e-10",
+                   "--count", "3", "--out", str(tmp_path)) == 0
+    rows = (tmp_path / "TINY_sweep.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[2] for r in rows] == ["a2"] * 3
+    assert all(r.endswith(",True") for r in rows)
+
+
 def test_sweep_sets_up_one_engine(monkeypatch, tmp_path):
     built = []
 
@@ -526,3 +540,26 @@ def test_no_module_imports_a_name_it_never_reads(monkeypatch):
         dead += [f"{module}.{name}"
                  for name in sorted(imported - read - exempt)]
     assert not dead
+
+
+def test_no_function_takes_a_parameter_it_never_reads():
+    # a parameter nothing reads is dead code in every caller's signature;
+    # regime_of keeps coeffs and critical only because
+    # perfbench/workloads.py passes them by position
+    exempt = {"hrflow.classify.regime_of.coeffs",
+              "hrflow.classify.regime_of.critical"}
+    unread = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = fn.args
+            params = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs}
+            params |= {p.arg for p in (a.vararg, a.kwarg) if p is not None}
+            read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name)
+                    and isinstance(node.ctx, ast.Load)}
+            unread += [f"hrflow.{path.stem}.{fn.name}.{name}"
+                       for name in sorted(params - read - {"self", "cls"})]
+    assert sorted(set(unread) - exempt) == []

@@ -260,11 +260,11 @@ def test_root_residuals_are_tight(fix_d, fix_a):
 
 
 def _locate_reference(roots, y):
-    """Roots at or below y, and the first root within ROOT_EXCLUSION of it
-    (else -1), one root at a time."""
+    """Roots at or below y, and the first root within ROOT_EXCLUSION *
+    min(1 + r, 2r) of it (else -1), one root at a time."""
     below = sum(r <= y for r in roots)
     on = [k for k, r in enumerate(roots)
-          if abs(y - r) <= ROOT_EXCLUSION * (1.0 + r)]
+          if abs(y - r) <= ROOT_EXCLUSION * min(1.0 + r, 2.0 * r)]
     return below, on[0] if on else -1
 
 

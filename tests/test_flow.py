@@ -108,12 +108,11 @@ def test_curvature_proxy_behaviour(su42, fix_d):
 
 
 def test_first_integral_closed_form(fix_a):
-    es = h.quadratic_einstein_roots(fix_a)
     for x1, x2 in ((0.3, 1.0), (0.7, 0.9), (2.0, 1.1)):
         st = MetricState(0.0, x1, x2)
         y = x1 / x2
         want = abs(y - 0.5) ** (-2.5) * abs(1.0 - y) ** 2 / x2
-        assert h.first_integral(st, fix_a, es) == pytest.approx(want, rel=1e-13)
+        assert h.first_integral(st, fix_a) == pytest.approx(want, rel=1e-13)
 
 
 #: a start off every Einstein root on each catalog fixture
@@ -130,9 +129,8 @@ def test_first_integral_every_kind_and_refusal(spaces, fix_a):
         assert type(val) is float and 0.0 < val < math.inf, name
         assert h.first_integral(MetricState(0.0, 4.0 * y0, 4.0), c) == \
             pytest.approx(val / 4.0, rel=1e-12)
-    es = h.quadratic_einstein_roots(fix_a)
     with pytest.raises(OnEinsteinRoot):
-        h.first_integral(MetricState(0.0, 0.5 + 1e-12, 1.0), fix_a, es)
+        h.first_integral(MetricState(0.0, 0.5 + 1e-12, 1.0), fix_a)
 
 
 def test_integrate_su42_forward(su42):
@@ -227,7 +225,7 @@ def _window_spread(traj):
     if not win.any():
         return None, 0.0
     vals, y = lam[win], traj.y[win]
-    f1, f2 = make_rhs(traj.coeffs)(y, np.ones_like(y))
+    f1, f2 = make_rhs(traj.engine.c)(y, np.ones_like(y))
     cond = float(np.max(np.abs(y * f2 / (f1 - y * f2))))
     return float((vals.max() - vals.min()) / np.median(vals)), cond
 
@@ -376,7 +374,7 @@ def test_backward_runaway_is_an_ending(t285):
     bwd = h.integrate(c, init, BWD)
     assert bwd.termination is h.Termination.RUNAWAY
     assert bwd.T_estimate is None and bwd.x1[-1] > 1e11
-    rep = h.classify_trajectory(h.integrate(c, init), bwd, c)
+    rep = h.classify_trajectory(h.integrate(c, init), bwd)
     assert rep.ancient_exists is False
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import hrflow as h
 from hrflow import classify, cli, flow, stepper
+from hrflow.blowup import limit_at
 from hrflow.classify import classify_starts
 from hrflow.flow import MetricState
 from hrflow.yflow import YFlow
@@ -106,7 +107,7 @@ def test_reports_agree_with_case_table():
     bad = []
     for c, es, y0 in random_starts(2, 400):
         regime = h.regime_of(c, es, None, y0)
-        (rep,) = classify_starts(c, es, [y0])
+        (rep,) = classify_starts(YFlow(c, es), [y0])
         pred = h.predicted_report(regime, es, c)
         fields = {
             "outcome": rep.forward_outcome is pred.outcome,
@@ -129,7 +130,7 @@ def test_c0_boundary_verdicts_follow_case_table():
     bad, sides = [], set()
     for c, es, y0s in c0_boundary_starts(21, 200):
         sides.add((es.case_label, c.C == 0.0))
-        for y0, rep in zip(y0s, classify_starts(c, es, y0s)):
+        for y0, rep in zip(y0s, classify_starts(YFlow(c, es), y0s)):
             pred = h.predicted_report(rep.regime, es, c)
             got = (rep.forward_outcome, rep.forward_y_limit,
                    rep.ancient_exists, rep.ancient_type,
@@ -159,8 +160,8 @@ def test_engine_consults_no_case_table(monkeypatch, fix_d):
 
     monkeypatch.setattr(classify, "regime_of", refuse)
     monkeypatch.setattr(classify, "predicted_report", refuse)
-    es = h.einstein_roots(fix_d)
-    reps = classify_starts(fix_d, es, [0.25, 0.75, 1.5, 3.0])
+    reps = classify_starts(YFlow(fix_d, h.einstein_roots(fix_d)),
+                           [0.25, 0.75, 1.5, 3.0])
     assert [r.forward_y_limit for r in reps] == pytest.approx(
         [0.5, 0.5, 2.0, 2.0])
     assert [r.ancient_exists for r in reps] == [False, True, True, False]
@@ -188,7 +189,7 @@ def test_report_scales_with_the_metric(fix_a):
         fwd = h.integrate(fix_a, init)
         bwd = h.integrate(fix_a, init, h.IntegrationOptions(
             direction=h.Direction.BACKWARD))
-        reports[lam] = h.classify_trajectory(fwd, bwd, fix_a).to_dict()
+        reports[lam] = h.classify_trajectory(fwd, bwd).to_dict()
         assert type(reports[lam]["T_estimate"]) is float
     base = reports[1.0]
     for lam, rep in reports.items():
@@ -197,11 +198,11 @@ def test_report_scales_with_the_metric(fix_a):
         assert rep | {"T_estimate": None} == base | {"T_estimate": None}
 
 
-def _report(c, es, init):
+def _report(c, init):
     fwd = h.integrate(c, init)
     bwd = h.integrate(c, init, h.IntegrationOptions(
         direction=h.Direction.BACKWARD))
-    return h.classify_trajectory(fwd, bwd, c, es)
+    return h.classify_trajectory(fwd, bwd)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -214,8 +215,8 @@ def test_random_reports_are_scale_free(seed, maximal, ln_y0, ln_lam):
     es = h.einstein_roots(c)
     y0, lam = float(np.exp(ln_y0)), float(np.exp(ln_lam))
     assume(es.on_root(y0) is None)
-    base = _report(c, es, MetricState(0.0, y0, 1.0))
-    rep = _report(c, es, MetricState(0.0, y0 * lam, lam))
+    base = _report(c, MetricState(0.0, y0, 1.0))
+    rep = _report(c, MetricState(0.0, y0 * lam, lam))
     assert rep.T_estimate / lam == pytest.approx(base.T_estimate, rel=1e-12)
     assert rep.to_dict() | {"T_estimate": None} == \
         base.to_dict() | {"T_estimate": None}
@@ -232,11 +233,53 @@ def test_random_reports_are_scale_free(seed, maximal, ln_y0, ln_lam):
             pred.backward_y_limit, rel=1e-2, abs=1e-2)
 
 
-def test_given_engine_supplies_the_einstein_set(fix_d):
-    engine = YFlow(fix_d, h.einstein_roots(fix_d))
-    y0s = [0.25, 0.75, 1.5, 3.0]
-    assert classify_starts(fix_d, None, y0s, engine=engine) == \
-        classify_starts(fix_d, h.einstein_roots(fix_d), y0s)
+def test_integrate_refuses_a_foreign_engine(fix_a, fix_d):
+    # the first-integral column of FIX-D's engine along FIX-A's flow
+    # spread by 93 relative; its classification named FIX-D's verdicts
+    foreign = YFlow(fix_d, h.einstein_roots(fix_d))
+    with pytest.raises(ValueError):
+        h.integrate(fix_a, MetricState(0.0, 0.75, 1.0), engine=foreign)
+
+
+def test_trajectory_carries_its_engine(spaces):
+    for name, y0 in (("FIX-A", 0.75), ("SU42", 1.0), ("FIX-D", 0.75),
+                     ("FIX-C0", 0.75)):
+        c = h.derive_coeffs(spaces[name])
+        engine = YFlow(c, h.einstein_roots(c))
+        assert engine.c is c
+        init = MetricState(0.0, 2.0 * y0, 2.0)
+        fwd = h.integrate(c, init, engine=engine)
+        bwd = h.integrate(c, init, h.IntegrationOptions(
+            direction=h.Direction.BACKWARD), engine=engine)
+        assert fwd.engine is engine and bwd.engine is engine
+        (want,) = classify_starts(engine, [y0])
+        rep = h.classify_trajectory(fwd, bwd)
+        assert rep.T_estimate == pytest.approx(2.0 * want.T_estimate,
+                                               rel=1e-15)
+        assert rep.to_dict() | {"T_estimate": None} == \
+            want.to_dict() | {"T_estimate": None}, name
+        assert h.soliton_limit(fwd) == limit_at(
+            c, want.forward_y_limit,
+            want.forward_outcome is not h.Outcome.FIBER_COLLAPSE), name
+
+
+def test_tiny_einstein_root_is_not_widened():
+    # the lower root is 5e-13; a distance of 1e-9*(1 + root) to it once
+    # put all three starts on it
+    c = h.NonMaxCoeffs(A=0.5, B=0.5, C=1e-12, D=2.0, d1=1, d2=2)
+    es = h.einstein_roots(c)
+    assert es.case_label == "a" and es.values[0] < 1e-12
+    y0s = [2.5e-13, 1e-10, 5e-10]
+    reps = classify_starts(YFlow(c, es), y0s)
+    assert [str(r.regime) for r in reps] == ["a1", "a2", "a2"]
+    for rep in reps:
+        pred = h.predicted_report(rep.regime, es, c)
+        assert (rep.forward_outcome, rep.ancient_exists, rep.ancient_type) \
+            == (pred.outcome, pred.ancient_exists, pred.ancient_type)
+        assert rep.forward_y_limit == pytest.approx(pred.forward_y_limit)
+        assert rep.backward_y_limit == pytest.approx(pred.backward_y_limit)
+    ref = dop853_singular_time(c, y0s[1])
+    assert abs(reps[1].T_estimate - ref) <= 1e-10 * ref
 
 
 def test_fixed_direction_is_a_homothety(fix_a):
