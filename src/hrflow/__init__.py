@@ -19,10 +19,8 @@ from .einstein import (
     EinsteinSet,
     ScalarZeroDirections,
     critical_directions,
-    cubic_einstein_roots,
     einstein_roots,
     einstein_scale_constants,
-    quadratic_einstein_roots,
     scalar_zero_directions,
 )
 from .errors import *  # noqa: F401,F403 - the exception vocabulary
@@ -51,8 +49,6 @@ from .spaces import (
     ValidationReport,
     catalog,
     derive_coeffs,
-    derive_maximal_coeffs,
-    derive_nonmaximal_coeffs,
     dump_space,
     get_space,
     load_space,

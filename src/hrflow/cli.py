@@ -116,9 +116,9 @@ def _options_from(args, direction: Direction) -> IntegrationOptions:
 
 def _initial_state(args) -> MetricState:
     if args.y0 is not None:
-        if args.y0 <= 0 or args.scale <= 0:
-            raise SpaceModelError("y0 and scale must be positive")
-        return MetricState(t=0.0, x1=args.y0 * args.scale, x2=args.scale)
+        if args.y0 <= 0:
+            raise SpaceModelError("y0 must be positive")
+        return MetricState(t=0.0, x1=args.y0, x2=1.0)
     if args.x1 is None or args.x2 is None:
         raise SpaceModelError("provide either --y0 or both --x1 and --x2")
     if args.x1 <= 0 or args.x2 <= 0:
@@ -133,6 +133,16 @@ def _slug(space, args) -> str:
     if getattr(args, "x1", None) is not None:
         return f"{tag}_x1_{args.x1:g}_x2_{args.x2:g}"
     return tag
+
+
+def _within_horizon(T_estimate: float, x2: float, horizon: float) -> None:
+    """The horizon rule of ``flow`` and ``blowup``: the singular time from
+    the closed form, in units of the starting x2, must not exceed
+    ``--horizon``, else the run is undetermined."""
+    T = T_estimate / x2
+    if not T <= horizon:
+        raise NotCollapsed(f"the singular time T = {T} (in units of x2) is "
+                           f"not within the horizon {horizon}")
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -212,6 +222,7 @@ def cmd_flow(args) -> int:
         bwd.to_csv(os.path.join(args.out, f"{slug}_backward.csv"))
 
     rep = classify_trajectory(fwd, bwd)
+    _within_horizon(rep.T_estimate, init.x2, args.horizon)
     _write_json(os.path.join(args.out, f"{slug}_report.json"), rep.to_dict())
     print(f"{slug}: {rep.forward_outcome.value} ({rep.singular_type.value}), "
           f"T ~ {rep.T_estimate}, ancient = {rep.ancient_exists}")
@@ -346,14 +357,12 @@ def cmd_blowup(args) -> int:
         raise DomainError(f"initial state {init} has no positive finite "
                           "ratio x1/x2")
     ends = YFlow(coeffs, einstein_roots(coeffs)).run([y0])
-    T = float(ends.T[0])
-    if not T <= args.horizon:
-        raise NotCollapsed(f"the singular time T = {T} (in units of x2) is "
-                           f"not within the horizon {args.horizon}")
+    T_estimate = init.x2 * float(ends.T[0])
+    _within_horizon(T_estimate, init.x2, args.horizon)
     limit = limit_at(coeffs, ends.y_forward[0], bool(ends.shrinks[0]))
     os.makedirs(args.out, exist_ok=True)
     payload = limit.to_dict() | {"space": space.name,
-                                 "T_estimate": init.x2 * T}
+                                 "T_estimate": T_estimate}
     _write_json(os.path.join(args.out, f"{_slug(space, args)}_blowup.json"),
                 payload)
     print(json.dumps(payload, indent=2, sort_keys=True))
@@ -382,7 +391,6 @@ def _integration_flags(p: argparse.ArgumentParser) -> None:
 
 def _initial_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--y0", type=float, default=None)
-    p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--x1", type=float, default=None)
     p.add_argument("--x2", type=float, default=None)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import roots as rt
-from .errors import NotAnEinsteinRoot
+from .errors import NotAnEinsteinRoot, SpaceModelError
 from .spaces import Coefficients, MaxCoeffs
 
 #: refuse root-sensitive evaluations within this distance of a root
@@ -84,7 +84,7 @@ class ScalarZeroDirections:
     has_zero_root: bool = False
 
 
-def quadratic_einstein_roots(c: Coefficients) -> EinsteinSet:
+def _quadratic_roots(c: Coefficients) -> EinsteinSet:
     """Positive roots of C - D*y + (A+B)*y^2 with case classification."""
     a2, negD, C = poly = c.planar.homothety
     D = -negD
@@ -110,7 +110,7 @@ def quadratic_einstein_roots(c: Coefficients) -> EinsteinSet:
     return EinsteinSet(polished, "a")
 
 
-def cubic_einstein_roots(c: Coefficients) -> EinsteinSet:
+def _cubic_roots(c: Coefficients) -> EinsteinSet:
     """All (positive) roots of the maximal homothety cubic."""
     coeffs = c.planar.homothety
     found = rt.cubic_real_roots(coeffs)
@@ -128,8 +128,8 @@ def cubic_einstein_roots(c: Coefficients) -> EinsteinSet:
 def einstein_roots(c: Coefficients) -> EinsteinSet:
     """Einstein directions: the positive zeros of f1 - y*f2."""
     if len(c.planar.homothety) == 3:
-        return quadratic_einstein_roots(c)
-    return cubic_einstein_roots(c)
+        return _quadratic_roots(c)
+    return _cubic_roots(c)
 
 
 def einstein_scale_constants(c: Coefficients, root: float) -> tuple[float, float]:
@@ -155,15 +155,18 @@ def critical_directions(c: MaxCoeffs) -> CriticalDirections:
 
     g1(0) = B1 > 0 and g1 is strictly decreasing, g2(0) = -C2 < 0 and g2 has
     a single positive zero; every Einstein root lies strictly between them.
+    A non-maximal record has no such wedge and is refused.
     """
     p = c.planar
+    if not p.maximal:
+        raise SpaceModelError(f"critical directions need a maximal record: {c}")
     g1 = (-p.a2, 0.0, -p.a0, p.am1)
     y1 = rt.hybrid_root(g1, 0.0, p.am1 / p.a0 + 1e-300)
     g2 = (p.b1, -p.b0, 0.0, -p.bm2)
     y2 = rt.hybrid_root(g2, 0.0, rt.root_bound(g2))
     if not y1 < y2:
         raise AssertionError(f"critical directions out of order: {y1} >= {y2}")
-    for r, _ in cubic_einstein_roots(c).roots:
+    for r, _ in einstein_roots(c).roots:
         if not (y1 < r < y2):
             raise AssertionError(f"Einstein root {r} outside ({y1}, {y2})")
     return CriticalDirections(y_tilde_1=y1, y_tilde_2=y2)

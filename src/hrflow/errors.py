@@ -9,10 +9,6 @@ class SpaceModelError(HrflowError):
     """A structure-constant table is internally inconsistent or unsupported."""
 
 
-class KindMismatch(HrflowError):
-    """A coefficient derivation was asked for the wrong space kind."""
-
-
 class PositivityViolation(HrflowError):
     """A derived coefficient that must be strictly positive is not."""
 

@@ -293,7 +293,8 @@ def integrate(model, init: MetricState,
     ``EinsteinSet.locate`` places it) and wherever it would not be a normal
     float.  A caller that runs several flows of one space passes its
     ``YFlow``, else one is set up here; one built for other coefficients
-    raises ValueError.  The trajectory carries it.
+    raises ValueError.  The trajectory carries it; its sampled columns are
+    read-only.
     """
     opts = opts or IntegrationOptions()
     c = as_coefficients(model)
@@ -330,12 +331,14 @@ def integrate(model, init: MetricState,
     lam = np.full_like(x1, np.nan)
     lam[guard] = _first_integral_of(engine, x2[guard], y[guard])
 
+    columns = dict(t=t, x1=x1, x2=x2, y=y,
+                   R=_scalar_curvature_arrays(x1, x2, c),
+                   kappa=_kappa_arrays(x1, x2, c), first_integral=lam)
+    for col in columns.values():
+        col.flags.writeable = False  # a frozen record with frozen columns
     return Trajectory(
         direction=opts.direction,
-        t=t, x1=x1, x2=x2, y=y,
-        R=_scalar_curvature_arrays(x1, x2, c),
-        kappa=_kappa_arrays(x1, x2, c),
-        first_integral=lam,
+        **columns,
         termination=termination,
         T_estimate=t_est,
         final_rhs=(sgn * raw.final_rhs[0], sgn * raw.final_rhs[1]),
@@ -358,8 +361,7 @@ def _terminal_info(raw: stepper.RawRun, opts: IntegrationOptions,
     eps = opts.collapse_epsilon
     u = (raw.x1[-1], raw.x2[-1])
     near = eps * SIMULTANEOUS_FACTOR
-    crossed = raw.event_coord if raw.event_coord is not None else (
-        0 if u[0] <= u[1] else 1)
+    crossed = raw.event_coord
     if u[1 - crossed] <= near:
         term = Termination.COLLAPSE_BOTH
     elif crossed == 0:

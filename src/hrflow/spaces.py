@@ -26,7 +26,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import KindMismatch, PositivityViolation, SpaceModelError
+from .errors import PositivityViolation, SpaceModelError
 
 Number = int | float | Fraction
 
@@ -182,10 +182,6 @@ class NonMaxCoeffs:
                 f"(d1/2)A = {lhs} and (d2/4)B = {rhs} must agree"
             )
 
-    @property
-    def kind(self) -> Kind:
-        return Kind.NON_MAXIMAL
-
     @cached_property
     def planar(self) -> PlanarField:
         A, B, C, D = float(self.A), float(self.B), float(self.C), float(self.D)
@@ -228,10 +224,6 @@ class MaxCoeffs:
         for lhs, rhs, label in pairs:
             if abs(lhs - rhs) > BALANCE_RTOL * max(abs(lhs), abs(rhs)):
                 raise SpaceModelError(f"{label} violated: {lhs} vs {rhs}")
-
-    @property
-    def kind(self) -> Kind:
-        return Kind.MAXIMAL
 
     @cached_property
     def planar(self) -> PlanarField:
@@ -310,47 +302,21 @@ def validate(space: GeneralSpace) -> ValidationReport:
     return ValidationReport(tuple(bad))
 
 
-def derive_nonmaximal_coeffs(space: TwoSummandSpace) -> NonMaxCoeffs:
-    """Read off A, B, C, D from a validated non-maximal table."""
-    if space.kind is not Kind.NON_MAXIMAL:
-        raise KindMismatch(f"{space.name} is {space.kind.value}, not NonMaximal")
-    validate(space).raise_if_invalid()
-    d1, d2 = space.d
-    t111, t122, t222 = space.t(1, 1, 1), space.t(1, 2, 2), space.t(2, 2, 2)
-    return NonMaxCoeffs(
-        A=t122 / (2 * d1),
-        B=t122 / d2,
-        C=space.b[0] - t111 / (2 * d1) - t122 / d1,
-        D=space.b[1] - t222 / (2 * d2),
-        d1=d1,
-        d2=d2,
-    )
-
-
-def derive_maximal_coeffs(space: TwoSummandSpace) -> MaxCoeffs:
-    """Read off A1, B1, C1, A2, B2, C2 from a validated maximal table."""
-    if space.kind is not Kind.MAXIMAL:
-        raise KindMismatch(f"{space.name} is {space.kind.value}, not Maximal")
+def derive_coeffs(space: TwoSummandSpace) -> Coefficients:
+    """Read off the flow coefficients of a validated two-summand table:
+    ``NonMaxCoeffs`` when [112] = 0, ``MaxCoeffs`` otherwise."""
     validate(space).raise_if_invalid()
     d1, d2 = space.d
     t111, t112 = space.t(1, 1, 1), space.t(1, 1, 2)
     t122, t222 = space.t(1, 2, 2), space.t(2, 2, 2)
-    return MaxCoeffs(
-        A1=space.b[0] - t111 / (2 * d1) - t122 / d1,
-        B1=t112 / d1,
-        C1=t122 / (2 * d1),
-        A2=space.b[1] - t222 / (2 * d2) - t112 / d2,
-        B2=t122 / d2,
-        C2=t112 / (2 * d2),
-        d1=d1,
-        d2=d2,
-    )
-
-
-def derive_coeffs(space: TwoSummandSpace) -> Coefficients:
-    if space.kind is Kind.NON_MAXIMAL:
-        return derive_nonmaximal_coeffs(space)
-    return derive_maximal_coeffs(space)
+    # the terms both kinds share, named as in the non-maximal record
+    A, B = t122 / (2 * d1), t122 / d2
+    C = space.b[0] - t111 / (2 * d1) - t122 / d1
+    D = space.b[1] - t222 / (2 * d2)
+    if t112 == 0:
+        return NonMaxCoeffs(A=A, B=B, C=C, D=D, d1=d1, d2=d2)
+    return MaxCoeffs(A1=C, B1=t112 / d1, C1=A, A2=D - t112 / d2, B2=B,
+                     C2=t112 / (2 * d2), d1=d1, d2=d2)
 
 
 # ---------------------------------------------------------------------------

@@ -10,42 +10,42 @@ def spaces():
 
 @pytest.fixture(scope="session")
 def su42(spaces):
-    return h.derive_nonmaximal_coeffs(spaces["SU42"])
+    return h.derive_coeffs(spaces["SU42"])
 
 
 @pytest.fixture(scope="session")
 def fix_a(spaces):
-    return h.derive_nonmaximal_coeffs(spaces["FIX-A"])
+    return h.derive_coeffs(spaces["FIX-A"])
 
 
 @pytest.fixture(scope="session")
 def fix_b(spaces):
-    return h.derive_nonmaximal_coeffs(spaces["FIX-B"])
+    return h.derive_coeffs(spaces["FIX-B"])
 
 
 @pytest.fixture(scope="session")
 def fix_c0(spaces):
-    return h.derive_nonmaximal_coeffs(spaces["FIX-C0"])
+    return h.derive_coeffs(spaces["FIX-C0"])
 
 
 @pytest.fixture(scope="session")
 def fix_d(spaces):
-    return h.derive_maximal_coeffs(spaces["FIX-D"])
+    return h.derive_coeffs(spaces["FIX-D"])
 
 
 @pytest.fixture(scope="session")
 def fix_e(spaces):
-    return h.derive_maximal_coeffs(spaces["FIX-E"])
+    return h.derive_coeffs(spaces["FIX-E"])
 
 
 @pytest.fixture(scope="session")
 def fix_e2(spaces):
-    return h.derive_maximal_coeffs(spaces["FIX-E2"])
+    return h.derive_coeffs(spaces["FIX-E2"])
 
 
 @pytest.fixture(scope="session")
 def fix_f(spaces):
-    return h.derive_maximal_coeffs(spaces["FIX-F"])
+    return h.derive_coeffs(spaces["FIX-F"])
 
 
 @pytest.fixture(scope="session")

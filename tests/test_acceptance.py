@@ -34,11 +34,11 @@ def _pair(coeffs, y0, scale=1.0, horizon=1e3, **kw):
 
 def test_criterion_01_su42_nonexistence_exact(spaces):
     su = spaces["SU42"]
-    h.derive_nonmaximal_coeffs(su)  # warm-up outside the timed region
+    h.derive_coeffs(su)  # warm-up outside the timed region
     elapsed = float("inf")
     for _ in range(5):
         t0 = time.perf_counter()
-        c = h.derive_nonmaximal_coeffs(su)
+        c = h.derive_coeffs(su)
         disc = c.D * c.D - 4 * c.C * (c.A + c.B)
         elapsed = min(elapsed, time.perf_counter() - t0)
     ok = (
@@ -46,7 +46,7 @@ def test_criterion_01_su42_nonexistence_exact(spaces):
                                  Fraction(27, 40), Fraction(1))
         and disc == Fraction(-113, 400)
         and disc < 0
-        and h.quadratic_einstein_roots(c).case_label == "c"
+        and h.einstein_roots(c).case_label == "c"
         and elapsed < 1e-3
     )
     _line(1, ok, f"exact rational coefficients and negative discriminant "
@@ -183,7 +183,7 @@ MATRIX = [
 def test_criterion_07_maximal_matrix(spaces):
     failures = []
     for name, y0, regime, root_f, anc, root_b in MATRIX:
-        c = h.derive_maximal_coeffs(spaces[name])
+        c = h.derive_coeffs(spaces[name])
         es = h.einstein_roots(c)
         fwd, bwd = _pair(c, y0)
         rep = h.classify_trajectory(fwd, bwd)
@@ -246,8 +246,8 @@ def test_criterion_09_root_solver_oracle():
     rng = np.random.default_rng(4096)
     bad = 0
     for _ in range(200):
-        c = h.derive_nonmaximal_coeffs(random_nonmaximal_space(rng))
-        es = h.quadratic_einstein_roots(c)
+        c = h.derive_coeffs(random_nonmaximal_space(rng))
+        es = h.einstein_roots(c)
         hi = (float(c.D) + 1.0) / (float(c.A) + float(c.B)) + 1.0
         got = [r for r in sweep_roots(nonmax_quadratic(c), 0.0, hi)
                if r > 1e-9]  # y = 0 is not a direction
@@ -255,8 +255,8 @@ def test_criterion_09_root_solver_oracle():
                 abs(a - b) > 1e-9 for a, b in zip(sorted(es.values), got)):
             bad += 1
     for _ in range(200):
-        c = h.derive_maximal_coeffs(random_maximal_space(rng))
-        es = h.cubic_einstein_roots(c)
+        c = h.derive_coeffs(random_maximal_space(rng))
+        es = h.einstein_roots(c)
         got = sweep_roots(max_cubic(c), 0.0, max_cubic_bound(c))
         neg = sweep_roots(max_cubic(c), -max_cubic_bound(c), -1e-12)
         if (len(es.values) < 1 or any(v <= 0 for v in es.values) or neg

@@ -2,6 +2,7 @@ import ast
 import hashlib
 import json
 import math
+import shlex
 from fractions import Fraction
 from pathlib import Path
 
@@ -92,10 +93,10 @@ def test_flow_su42_backward(tmp_path, capsys):
 
 
 def test_flow_fixed_direction(tmp_path, capsys):
-    code = run_cli("flow", "--space", "FIX-A", "--y0", "1", "--scale", "2",
+    code = run_cli("flow", "--space", "FIX-A", "--x1", "2", "--x2", "2",
                    "--out", str(tmp_path))
     assert code == 0
-    report = json.loads((tmp_path / "FIX-A_y0_1_report.json").read_text())
+    report = json.loads((tmp_path / "FIX-A_x1_2_x2_2_report.json").read_text())
     assert report["T_estimate"] == pytest.approx(1.0, abs=1e-9)
     assert report["ancient_exists"] is None
 
@@ -289,7 +290,7 @@ def _payload(tmp_path, *argv) -> dict:
 @pytest.mark.parametrize("command", [("flow", "--backward"), ("blowup",)])
 @pytest.mark.parametrize("start,lam", [
     (("--x1", "7000", "--x2", "10000"), 1e4),
-    (("--y0", "0.7", "--scale", "1e-9"), 1e-9),
+    (("--x1", "7e-10", "--x2", "1e-9"), 1e-9),
 ])
 def test_runs_are_scale_free(tmp_path, command, start, lam):
     # x -> lam*x takes t -> lam*t; the thresholds are in units of x2(0)
@@ -380,6 +381,9 @@ def test_blowup_limit_near_repelling_root(tmp_path, capsys):
     ("portrait", "--space", "FIX-A", "--x1", "0.1,2"),
     # blowup steps no trajectory, so it has no step budget
     ("blowup", "--space", "FIX-A", "--y0", "1", "--max-steps", "10"),
+    # --y0 is the start (y0, 1); --x1 and --x2 give any scale
+    ("flow", "--space", "FIX-A", "--y0", "1", "--scale", "2"),
+    ("blowup", "--space", "FIX-A", "--y0", "1", "--scale", "2"),
 ])
 def test_unread_flags_are_refused(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -437,13 +441,23 @@ def test_blowup_steps_no_trajectory(tmp_path, monkeypatch):
                        "--out", str(tmp_path)) == 0, name
 
 
-def test_blowup_horizon_against_the_singular_time(tmp_path):
+def _horizon_against_the_singular_time(tmp_path, command):
     T, _ = _blowup_and_report_T(tmp_path, "FIX-A", "0.7")
     for horizon, code in ((math.nextafter(T, 0.0), 3), (T, 0),
                           (math.nextafter(T, math.inf), 0)):
-        assert run_cli("blowup", "--space", "FIX-A", "--y0", "0.7",
+        assert run_cli(command, "--space", "FIX-A", "--y0", "0.7",
                        "--horizon", repr(horizon),
                        "--out", str(tmp_path)) == code, horizon
+
+
+def test_blowup_horizon_against_the_singular_time(tmp_path):
+    _horizon_against_the_singular_time(tmp_path, "blowup")
+
+
+def test_flow_horizon_against_the_singular_time(tmp_path):
+    # the stepper's collapse event comes before T, so flow must test the
+    # engine's T against the horizon, as blowup does
+    _horizon_against_the_singular_time(tmp_path, "flow")
 
 
 @pytest.mark.parametrize("argv,code", [
@@ -486,6 +500,28 @@ def test_report_json_schema_frozen(tmp_path):
                            "forward_y_limit", "ancient_exists", "ancient_type",
                            "backward_y_limit", "T_estimate"}
     assert set(report["regime"]) == {"family", "subcase", "single_below_double"}
+
+
+def _readme_command_lines() -> list[list[str]]:
+    """The arguments of each line of README's "Command line" block."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    lines = [shlex.split(line, comments=True)
+             for line in block.strip().splitlines()]
+    assert all(argv[0] == "hrflow" for argv in lines)
+    return [argv[1:] for argv in lines]
+
+
+@pytest.mark.parametrize("argv", _readme_command_lines(),
+                         ids=lambda argv: argv[0])
+def test_readme_command_lines_run(argv, tmp_path, monkeypatch):
+    # the documented examples run as written; outputs land in tmp_path
+    monkeypatch.chdir(tmp_path)
+    if "--out" in argv:
+        argv = [*argv]
+        argv[argv.index("--out") + 1] = str(tmp_path / "out")
+    assert run_cli(*argv) == 0
 
 
 def test_benchmark_tracer_patch_points_exist(monkeypatch, tmp_path):

@@ -7,14 +7,14 @@ from hypothesis import strategies as st
 
 import hrflow as h
 from hrflow.einstein import ROOT_EXCLUSION
-from hrflow.errors import NotAnEinsteinRoot
+from hrflow.errors import NotAnEinsteinRoot, SpaceModelError
 
 from oracles import max_cubic, max_cubic_bound, nonmax_quadratic, sweep_roots
 from randspaces import random_maximal_space, random_nonmaximal_space
 
 
 def test_su42_has_no_einstein_direction(su42):
-    es = h.quadratic_einstein_roots(su42)
+    es = h.einstein_roots(su42)
     assert es.case_label == "c"
     assert es.roots == ()
     disc = su42.D ** 2 - 4 * su42.C * (su42.A + su42.B)
@@ -22,32 +22,32 @@ def test_su42_has_no_einstein_direction(su42):
 
 
 def test_fix_a_roots(fix_a):
-    es = h.quadratic_einstein_roots(fix_a)
+    es = h.einstein_roots(fix_a)
     assert es.case_label == "a"
     assert es.values == pytest.approx((0.5, 1.0), abs=1e-13)
     assert all(m == 1 for _, m in es.roots)
 
 
 def test_fix_b_double_root(fix_b):
-    es = h.quadratic_einstein_roots(fix_b)
+    es = h.einstein_roots(fix_b)
     assert es.case_label == "b"
     assert es.roots == ((pytest.approx(0.5, abs=1e-13), 2),)
 
 
 def test_c0_single_direction(fix_c0):
-    es = h.quadratic_einstein_roots(fix_c0)
+    es = h.einstein_roots(fix_c0)
     assert es.case_label == "C0"
     assert es.values == (pytest.approx(1.5, abs=1e-13),)
 
 
 def test_fix_d_cubic_roots(fix_d):
-    es = h.cubic_einstein_roots(fix_d)
+    es = h.einstein_roots(fix_d)
     assert es.case_label == "d"
     assert es.values == pytest.approx((0.5, 1.0, 2.0), abs=1e-12)
 
 
 def test_fix_e_double_root(fix_e):
-    es = h.cubic_einstein_roots(fix_e)
+    es = h.einstein_roots(fix_e)
     assert es.case_label == "e"
     (r1, m1), (r2, m2) = es.roots
     assert (m1, m2) == (1, 2)
@@ -57,7 +57,7 @@ def test_fix_e_double_root(fix_e):
 
 
 def test_fix_e2_double_below_single(fix_e2):
-    es = h.cubic_einstein_roots(fix_e2)
+    es = h.einstein_roots(fix_e2)
     assert es.case_label == "e"
     (r1, m1), (r2, m2) = es.roots
     assert (m1, m2) == (2, 1)
@@ -65,7 +65,7 @@ def test_fix_e2_double_below_single(fix_e2):
 
 
 def test_fix_f_single_root(fix_f):
-    es = h.cubic_einstein_roots(fix_f)
+    es = h.einstein_roots(fix_f)
     assert es.case_label == "f"
     assert es.values == (pytest.approx(2.3836728704309826, abs=1e-10),)
 
@@ -120,6 +120,12 @@ def test_critical_directions_match_sweep(fix_d, fix_e, fix_f):
         assert cd.y_tilde_2 == pytest.approx(g2[0], abs=1e-9)
 
 
+def test_critical_directions_refuse_a_non_maximal_record(spaces):
+    for name in ("SU42", "FIX-A", "FIX-B", "FIX-C0"):
+        with pytest.raises(SpaceModelError, match="maximal"):
+            h.critical_directions(h.derive_coeffs(spaces[name]))
+
+
 def test_boundary_values_of_sign_cubics(fix_d):
     # g1 starts positive, g2 starts negative
     assert float(fix_d.B1) > 0
@@ -167,8 +173,8 @@ def test_scalar_zero_fix_d(fix_d):
 def test_quadratic_matches_sweep_on_random_spaces():
     rng = np.random.default_rng(7)
     for _ in range(60):
-        c = h.derive_nonmaximal_coeffs(random_nonmaximal_space(rng))
-        es = h.quadratic_einstein_roots(c)
+        c = h.derive_coeffs(random_nonmaximal_space(rng))
+        es = h.einstein_roots(c)
         f = nonmax_quadratic(c)
         hi = (float(c.D) + 1.0) / (float(c.A) + float(c.B)) + 1.0
         got = sweep_roots(f, 0.0, hi)
@@ -181,8 +187,8 @@ def test_quadratic_matches_sweep_on_random_spaces():
 def test_cubic_matches_sweep_on_random_spaces():
     rng = np.random.default_rng(11)
     for _ in range(60):
-        c = h.derive_maximal_coeffs(random_maximal_space(rng))
-        es = h.cubic_einstein_roots(c)
+        c = h.derive_coeffs(random_maximal_space(rng))
+        es = h.einstein_roots(c)
         got = sweep_roots(max_cubic(c), 0.0, max_cubic_bound(c))
         simple = [r for r, m in es.roots if m == 1]
         if es.count_distinct * 2 - len(simple) < 4:  # no merged pair nearby
@@ -196,8 +202,8 @@ def test_cubic_matches_sweep_on_random_spaces():
 def test_einstein_roots_between_critical_directions():
     rng = np.random.default_rng(13)
     for _ in range(40):
-        c = h.derive_maximal_coeffs(random_maximal_space(rng))
-        es = h.cubic_einstein_roots(c)
+        c = h.derive_coeffs(random_maximal_space(rng))
+        es = h.einstein_roots(c)
         cd = h.critical_directions(c)
         assert cd.y_tilde_1 < cd.y_tilde_2
         for r in es.values:
@@ -207,7 +213,7 @@ def test_einstein_roots_between_critical_directions():
 def test_maximal_scalar_zero_sign_pattern_random():
     rng = np.random.default_rng(17)
     for _ in range(40):
-        c = h.derive_maximal_coeffs(random_maximal_space(rng))
+        c = h.derive_coeffs(random_maximal_space(rng))
         sz = h.scalar_zero_directions(c)
         assert len(sz.positive_roots) == 2
         assert len(sz.negative_roots) == 1
@@ -223,7 +229,7 @@ def test_maximal_scalar_zero_sign_pattern_random():
 def test_quadratic_roots_always_positive(A, C, D, d1, d2):
     B = 2.0 * d1 * A / d2
     c = h.NonMaxCoeffs(A=A, B=B, C=C, D=D, d1=d1, d2=d2)
-    es = h.quadratic_einstein_roots(c)
+    es = h.einstein_roots(c)
     for r in es.values:
         assert r > 0.0
     if C > 0:
@@ -239,7 +245,7 @@ def test_quadratic_roots_always_positive(A, C, D, d1, d2):
 def test_cubic_has_positive_roots_only(A1, A2, B1, B2, d1, d2):
     c = h.MaxCoeffs(A1=A1, B1=B1, C1=d2 * B2 / (2 * d1),
                     A2=A2, B2=B2, C2=d1 * B1 / (2 * d2), d1=d1, d2=d2)
-    es = h.cubic_einstein_roots(c)
+    es = h.einstein_roots(c)
     assert es.count_distinct >= 1
     for r in es.values:
         assert r > 0.0
@@ -248,12 +254,12 @@ def test_cubic_has_positive_roots_only(A1, A2, B1, B2, d1, d2):
 def test_root_residuals_are_tight(fix_d, fix_a):
     from hrflow import roots as rt
 
-    es = h.cubic_einstein_roots(fix_d)
+    es = h.einstein_roots(fix_d)
     coeffs = (-(float(fix_d.B2) + float(fix_d.C1)), float(fix_d.A2),
               -float(fix_d.A1), float(fix_d.B1) + float(fix_d.C2))
     for r in es.values:
         assert abs(rt.eval_poly(coeffs, r)) <= 1e-10 * rt.poly_scale(coeffs, r)
-    es2 = h.quadratic_einstein_roots(fix_a)
+    es2 = h.einstein_roots(fix_a)
     q = (float(fix_a.A) + float(fix_a.B), -float(fix_a.D), float(fix_a.C))
     for r in es2.values:
         assert abs(rt.eval_poly(q, r)) <= 1e-12 * rt.poly_scale(q, r)

@@ -144,6 +144,16 @@ def test_integrate_su42_forward(su42):
     assert np.all(traj.x1 > 0) and np.all(traj.x2 > 0)
 
 
+def test_trajectory_columns_are_read_only(fix_a):
+    # the report reads the start from fwd.y[0]; a frozen record must not
+    # let it be rewritten behind x1[0]/x2[0]
+    fwd = h.integrate(fix_a, MetricState(0.0, 0.75, 1.0))
+    with pytest.raises(ValueError):
+        fwd.y[0] = 0.3
+    for name in ("t", "x1", "x2", "y", "R", "kappa", "first_integral"):
+        assert not getattr(fwd, name).flags.writeable, name
+
+
 def test_integrate_step_halving_t_estimate(su42):
     a = h.integrate(su42, MetricState(0.0, 1.0, 1.0), FWD)
     tight = IntegrationOptions(rel_tol=FWD.rel_tol / 2, abs_tol=FWD.abs_tol / 2)
@@ -283,13 +293,13 @@ def test_monotone_direction_ratio_random_spaces():
     rng = np.random.default_rng(23)
     for _ in range(6):
         sp = random_nonmaximal_space(rng)
-        c = h.derive_nonmaximal_coeffs(sp)
+        c = h.derive_coeffs(sp)
         traj = h.integrate(c, MetricState(0.0, float(rng.uniform(0.2, 3.0)), 1.0),
                            IntegrationOptions(rel_tol=1e-9))
         assert traj.y_monotone_within()
     for _ in range(6):
         sp = random_maximal_space(rng)
-        c = h.derive_maximal_coeffs(sp)
+        c = h.derive_coeffs(sp)
         traj = h.integrate(c, MetricState(0.0, float(rng.uniform(0.2, 3.0)), 1.0),
                            IntegrationOptions(rel_tol=1e-9))
         assert traj.y_monotone_within()
@@ -384,7 +394,7 @@ def test_steep_backward_collapse_still_terminates():
     # still be detected in finite time
     sp = h.make_space("steep", d=(1, 8), b=(4.0, 1.0),
                       triple_entries={(1, 2, 2): 4.0})
-    c = h.derive_nonmaximal_coeffs(sp)
+    c = h.derive_coeffs(sp)
     traj = h.integrate(c, MetricState(0.0, 3.0, 1.0),
                        IntegrationOptions(direction=h.Direction.BACKWARD,
                                           max_time=1e6))

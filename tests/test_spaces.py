@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hrflow as h
-from hrflow.errors import KindMismatch, PositivityViolation, SpaceModelError
+from hrflow.errors import PositivityViolation, SpaceModelError
 from hrflow.spaces import BALANCE_RTOL, GeneralSpace
 
 from randspaces import random_maximal_space, random_nonmaximal_space
@@ -24,7 +24,7 @@ def test_su42_table_is_exact(spaces):
 
 
 def test_su42_coefficients_exact(spaces):
-    c = h.derive_nonmaximal_coeffs(spaces["SU42"])
+    c = h.derive_coeffs(spaces["SU42"])
     assert (c.A, c.B, c.C, c.D) == (
         Fraction(1, 8), Fraction(7, 20), Fraction(27, 40), Fraction(1))
     # dimension-tied relation between the two interaction coefficients
@@ -46,11 +46,13 @@ def test_validate_reports_balance_violation():
     report = h.validate(sp)
     rules = {v.rule for v in report.violations}
     assert "killing-casimir-balance" in rules
+    with pytest.raises(SpaceModelError, match="killing-casimir-balance"):
+        h.derive_coeffs(sp)
 
 
 def test_vanishing_constant_term(spaces):
     # no Casimir on the first summand and no self-interaction force C = 0
-    c = h.derive_nonmaximal_coeffs(spaces["FIX-C0"])
+    c = h.derive_coeffs(spaces["FIX-C0"])
     assert spaces["FIX-C0"].c[0] == 0
     assert spaces["FIX-C0"].t(1, 1, 1) == 0
     assert c.C == 0
@@ -97,11 +99,16 @@ def test_lone_112_rejected():
         h.make_space("odd", d=(2, 3), b=(1, 1), triple_entries={(1, 1, 2): 1})
 
 
-def test_derive_wrong_kind_raises(spaces):
-    with pytest.raises(KindMismatch):
-        h.derive_maximal_coeffs(spaces["SU42"])
-    with pytest.raises(KindMismatch):
-        h.derive_nonmaximal_coeffs(spaces["FIX-D"])
+def test_derive_coeffs_is_the_one_door(spaces):
+    # the record follows the [112] pattern; there is no per-kind door
+    assert type(h.derive_coeffs(spaces["SU42"])) is h.NonMaxCoeffs
+    assert type(h.derive_coeffs(spaces["FIX-D"])) is h.MaxCoeffs
+    for name in ("derive_nonmaximal_coeffs", "derive_maximal_coeffs",
+                 "quadratic_einstein_roots", "cubic_einstein_roots",
+                 "KindMismatch"):
+        assert not hasattr(h, name), name
+    for name in ("SU42", "FIX-D"):
+        assert not hasattr(h.derive_coeffs(spaces[name]), "kind")
 
 
 def test_coeff_constructors_guard_signs():
@@ -117,7 +124,7 @@ def test_coeff_constructors_guard_signs():
 
 
 def test_fix_d_derivation(spaces):
-    c = h.derive_maximal_coeffs(spaces["FIX-D"])
+    c = h.derive_coeffs(spaces["FIX-D"])
     vals = tuple(float(v) for v in (c.A1, c.B1, c.C1, c.A2, c.B2, c.C2))
     assert vals == (3.5, 0.5, 0.2, 3.5, 0.8, 0.5)
     assert float(c.d2 * c.B2) == float(2 * c.d1 * c.C1) == 0.8
@@ -129,7 +136,7 @@ def test_fix_d_perturbed_killing_still_positive(spaces):
     sp = h.make_space("FIX-D-b1-3.0", d=fd.d, b=(3.0, fd.b[1]),
                       triple_entries={(1, 1, 2): fd.t(1, 1, 2),
                                       (1, 2, 2): fd.t(1, 2, 2)})
-    c = h.derive_maximal_coeffs(sp)
+    c = h.derive_coeffs(sp)
     assert float(c.A1) == pytest.approx(2.6, abs=1e-15)
 
 
@@ -165,7 +172,8 @@ def test_random_nonmaximal_spaces_derive(seed):
     rng = np.random.default_rng(seed)
     sp = random_nonmaximal_space(rng)
     assert h.validate(sp).ok
-    c = h.derive_nonmaximal_coeffs(sp)
+    c = h.derive_coeffs(sp)
+    assert type(c) is h.NonMaxCoeffs
     assert c.A > 0 and c.B > 0 and c.D > 0 and c.C >= 0
     lhs, rhs = c.d1 * c.A / 2, c.d2 * c.B / 4
     assert abs(lhs - rhs) <= BALANCE_RTOL * max(lhs, rhs)
@@ -177,7 +185,8 @@ def test_random_maximal_spaces_derive(seed):
     rng = np.random.default_rng(seed)
     sp = random_maximal_space(rng)
     assert h.validate(sp).ok
-    c = h.derive_maximal_coeffs(sp)
+    c = h.derive_coeffs(sp)
+    assert type(c) is h.MaxCoeffs
     for v in (c.A1, c.B1, c.C1, c.A2, c.B2, c.C2):
         assert v > 0
 
