@@ -36,7 +36,6 @@ from .einstein import (
     scalar_zero_directions,
 )
 from .errors import (
-    DomainError,
     HrflowError,
     NotCollapsed,
     SpaceModelError,
@@ -110,28 +109,35 @@ def _range(text: str, flag: str) -> tuple[float, float]:
 
 
 def _options_from(args, direction: Direction) -> IntegrationOptions:
-    return IntegrationOptions(direction=direction, max_time=args.horizon,
-                              max_steps=args.max_steps)
+    # blowup has no --max-steps and checks its horizon alone
+    try:
+        return IntegrationOptions(
+            direction=direction, max_time=args.horizon,
+            max_steps=getattr(args, "max_steps", IntegrationOptions.max_steps))
+    except ValueError as exc:
+        raise SpaceModelError(f"--horizon or --max-steps: {exc}") from None
 
 
 def _initial_state(args) -> MetricState:
     if args.y0 is not None:
-        if args.y0 <= 0:
-            raise SpaceModelError("y0 must be positive")
         return MetricState(t=0.0, x1=args.y0, x2=1.0)
     if args.x1 is None or args.x2 is None:
         raise SpaceModelError("provide either --y0 or both --x1 and --x2")
-    if args.x1 <= 0 or args.x2 <= 0:
-        raise SpaceModelError("initial coefficients must be positive")
     return MetricState(t=0.0, x1=args.x1, x2=args.x2)
+
+
+def _tag(v: float) -> str:
+    """A start value for a file name, in full where ``:g`` would round it."""
+    short = f"{v:g}"
+    return short if float(short) == v else repr(v)
 
 
 def _slug(space, args) -> str:
     tag = space.name.replace("(", "").replace(")", "").replace("/", "-")
     if getattr(args, "y0", None) is not None:
-        return f"{tag}_y0_{args.y0:g}"
+        return f"{tag}_y0_{_tag(args.y0)}"
     if getattr(args, "x1", None) is not None:
-        return f"{tag}_x1_{args.x1:g}_x2_{args.x2:g}"
+        return f"{tag}_x1_{_tag(args.x1)}_x2_{_tag(args.x2)}"
     return tag
 
 
@@ -207,13 +213,13 @@ def cmd_einstein(args) -> int:
 def cmd_flow(args) -> int:
     space, coeffs = _two_summand(args.space)
     init = _initial_state(args)
+    forward = _options_from(args, Direction.FORWARD)
     os.makedirs(args.out, exist_ok=True)
     slug = _slug(space, args)
     # one closed-form engine serves both runs and the report
     engine = YFlow(coeffs, einstein_roots(coeffs))
 
-    fwd = integrate(coeffs, init, _options_from(args, Direction.FORWARD),
-                    engine=engine)
+    fwd = integrate(coeffs, init, forward, engine=engine)
     fwd.to_csv(os.path.join(args.out, f"{slug}_forward.csv"))
     bwd = None
     if args.backward:
@@ -222,7 +228,7 @@ def cmd_flow(args) -> int:
         bwd.to_csv(os.path.join(args.out, f"{slug}_backward.csv"))
 
     rep = classify_trajectory(fwd, bwd)
-    _within_horizon(rep.T_estimate, init.x2, args.horizon)
+    _within_horizon(rep.T_estimate, init.x2, forward.max_time)
     _write_json(os.path.join(args.out, f"{slug}_report.json"), rep.to_dict())
     print(f"{slug}: {rep.forward_outcome.value} ({rep.singular_type.value}), "
           f"T ~ {rep.T_estimate}, ancient = {rep.ancient_exists}")
@@ -352,13 +358,10 @@ def cmd_blowup(args) -> int:
     x2(0) times the engine's T, as in ``flow``'s report."""
     space, coeffs = _two_summand(args.space)
     init = _initial_state(args)
-    y0 = init.x1 / init.x2
-    if not 0.0 < y0 < math.inf:
-        raise DomainError(f"initial state {init} has no positive finite "
-                          "ratio x1/x2")
-    ends = YFlow(coeffs, einstein_roots(coeffs)).run([y0])
+    horizon = _options_from(args, Direction.FORWARD).max_time
+    ends = YFlow(coeffs, einstein_roots(coeffs)).run([init.y])
     T_estimate = init.x2 * float(ends.T[0])
-    _within_horizon(T_estimate, init.x2, args.horizon)
+    _within_horizon(T_estimate, init.x2, horizon)
     limit = limit_at(coeffs, ends.y_forward[0], bool(ends.shrinks[0]))
     os.makedirs(args.out, exist_ok=True)
     payload = limit.to_dict() | {"space": space.name,

@@ -14,6 +14,7 @@ isotropy kinds run through the one planar-field form of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -21,14 +22,8 @@ import numpy as np
 
 from . import stepper
 from .einstein import einstein_roots
-from .errors import DomainError, NonpositiveC, OnEinsteinRoot, SpaceModelError
-from .spaces import (
-    Coefficients,
-    GeneralSpace,
-    PlanarField,
-    TwoSummandSpace,
-    derive_coeffs,
-)
+from .errors import DomainError, NonpositiveC, OnEinsteinRoot
+from .spaces import Coefficients, GeneralSpace, PlanarField
 from .yflow import YFlow
 
 #: y counts as monotone when it never moves against its trend by more than
@@ -63,11 +58,16 @@ class Termination(Enum):
 
 @dataclass(frozen=True)
 class MetricState:
-    """Point of the phase space: metric coefficients at a time stamp."""
+    """A phase-space point: positive finite coefficients at a time stamp."""
 
     t: float
     x1: float
     x2: float
+
+    def __post_init__(self):
+        if not (0.0 < self.x1 < math.inf and 0.0 < self.x2 < math.inf
+                and 0.0 < self.x1 / self.x2 < math.inf):
+            raise DomainError(f"{self}: x1, x2, x1/x2 must be positive finite")
 
     @property
     def y(self) -> float:
@@ -88,6 +88,8 @@ class IntegrationOptions:
             raise ValueError("tolerances must lie in (0, 1)")
         if self.collapse_epsilon <= 0.0:
             raise ValueError("collapse_epsilon must be positive")
+        if not (0.0 < self.max_time < math.inf and self.max_steps >= 1):
+            raise ValueError("max_time must lie in (0, inf), max_steps >= 1")
 
 
 @dataclass(frozen=True)
@@ -197,15 +199,11 @@ def make_rhs(c: Coefficients | PlanarField):
 
 def rhs_two(state: MetricState, c: Coefficients) -> tuple[float, float]:
     """Planar vector field at a state; the two kinds share the signature."""
-    if state.x1 <= 0 or state.x2 <= 0:
-        raise DomainError(f"coefficients must be positive: {state}")
     return make_rhs(c)(state.x1, state.x2)
 
 
 def scalar_curvature(state: MetricState, c: Coefficients) -> float:
     """Scalar curvature of the invariant metric at the state."""
-    if state.x1 <= 0 or state.x2 <= 0:
-        raise DomainError(f"coefficients must be positive: {state}")
     return float(_scalar_curvature_arrays(
         np.asarray(state.x1), np.asarray(state.x2), c))
 
@@ -228,8 +226,6 @@ def curvature_proxy(state: MetricState, c: Coefficients) -> float:
     extra interaction term produces that curvature contribution).  It scales
     like 1/c under the homothety g -> c*g, matching the curvature norm.
     """
-    if state.x1 <= 0 or state.x2 <= 0:
-        raise DomainError(f"coefficients must be positive: {state}")
     return float(_kappa_arrays(np.asarray(state.x1), np.asarray(state.x2), c))
 
 
@@ -267,22 +263,11 @@ def _first_integral_of(yf: YFlow, x2, y):
 # trajectory integration
 
 
-def as_coefficients(model) -> Coefficients:
-    if isinstance(model, Coefficients):
-        return model
-    if isinstance(model, TwoSummandSpace):
-        return derive_coeffs(model)
-    raise SpaceModelError(
-        f"cannot integrate {type(model).__name__}; need a two-summand space "
-        "or derived coefficients"
-    )
-
-
-def integrate(model, init: MetricState,
+def integrate(c: Coefficients, init: MetricState,
               opts: IntegrationOptions | None = None, *,
               engine: YFlow | None = None) -> Trajectory:
-    """Integrate the planar flow from init until collapse, horizon, runaway
-    or budget.
+    """Integrate the planar flow of c from init until collapse, horizon,
+    runaway or budget.
 
     The field depends on y alone, so the run steps u = x/x2(0) from (y0, 1)
     in s = |t - t0|/x2(0) and scales back; the collapse threshold, the
@@ -297,10 +282,10 @@ def integrate(model, init: MetricState,
     read-only.
     """
     opts = opts or IntegrationOptions()
-    c = as_coefficients(model)
     eps = opts.collapse_epsilon
     scale = init.x2
-    if not (scale > 0.0 and min(init.x1 / scale, 1.0) > eps):
+    y0 = init.y
+    if not min(y0, 1.0) > eps:
         raise DomainError(
             f"initial state {init} is already at the collapse threshold "
             f"{eps} (in units of x2)")
@@ -308,7 +293,6 @@ def integrate(model, init: MetricState,
         engine = YFlow(c, einstein_roots(c))
     elif engine.c != c:
         raise ValueError(f"the engine was built for {engine.c}, not {c}")
-    y0 = init.x1 / scale
     backward = opts.direction is Direction.BACKWARD
     f = make_rhs(c.planar.time_reversed() if backward else c)
 

@@ -304,7 +304,7 @@ def validate(space: GeneralSpace) -> ValidationReport:
 
 def derive_coeffs(space: TwoSummandSpace) -> Coefficients:
     """Read off the flow coefficients of a validated two-summand table:
-    ``NonMaxCoeffs`` when [112] = 0, ``MaxCoeffs`` otherwise."""
+    ``NonMaxCoeffs`` for the non-maximal ``kind``, ``MaxCoeffs`` else."""
     validate(space).raise_if_invalid()
     d1, d2 = space.d
     t111, t112 = space.t(1, 1, 1), space.t(1, 1, 2)
@@ -313,7 +313,7 @@ def derive_coeffs(space: TwoSummandSpace) -> Coefficients:
     A, B = t122 / (2 * d1), t122 / d2
     C = space.b[0] - t111 / (2 * d1) - t122 / d1
     D = space.b[1] - t222 / (2 * d2)
-    if t112 == 0:
+    if space.kind is Kind.NON_MAXIMAL:
         return NonMaxCoeffs(A=A, B=B, C=C, D=D, d1=d1, d2=d2)
     return MaxCoeffs(A1=C, B1=t112 / d1, C1=A, A2=D - t112 / d2, B2=B,
                      C2=t112 / (2 * d2), d1=d1, d2=d2)

@@ -475,6 +475,41 @@ def test_blowup_extreme_starts(tmp_path, argv, code):
                    "--out", str(tmp_path)) == code
 
 
+@pytest.mark.parametrize("command", ["flow", "blowup"])
+@pytest.mark.parametrize("argv", [
+    ("--x1", "1e-300", "--x2", "1e300"),
+    ("--x1", "inf", "--x2", "1"),
+    # a ratio that overflows to inf
+    ("--x1", "1e308", "--x2", "1e-10"),
+])
+def test_starts_off_the_cone_exit_2(tmp_path, capsys, command, argv):
+    assert run_cli(command, "--space", "FIX-A", *argv,
+                   "--out", str(tmp_path)) == 2
+    assert "positive finite" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command,flag", [
+    (command, f"--horizon={v}") for command in ("flow", "blowup")
+    for v in ("inf", "-1", "0", "nan")
+] + [("flow", "--max-steps=0"), ("flow", "--max-steps=-3")])
+def test_invalid_horizon_or_budget_exits_2(tmp_path, command, flag):
+    # refused before any file is written, in both commands alike
+    assert run_cli(command, "--space", "FIX-A", "--y0", "0.75", flag,
+                   "--out", str(tmp_path)) == 2
+    assert not any(tmp_path.iterdir())
+
+
+def test_starts_that_agree_to_6_digits_have_distinct_files(tmp_path):
+    reports = []
+    for y0 in ("0.7", "0.70000001"):
+        assert run_cli("flow", "--space", "FIX-A", "--y0", y0,
+                       "--out", str(tmp_path)) == 0
+        reports.append(tmp_path / f"FIX-A_y0_{y0}_report.json")
+    t = [json.loads(p.read_text())["T_estimate"] for p in reports]
+    assert t[0] != t[1]
+
+
 def test_blowup_command(tmp_path, capsys):
     code = run_cli("blowup", "--space", "SU42", "--x1", "1", "--x2", "1",
                    "--out", str(tmp_path))

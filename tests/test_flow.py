@@ -4,15 +4,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hrflow as h
 from hrflow import stepper
-from hrflow.errors import (
-    DomainError,
-    NonpositiveC,
-    OnEinsteinRoot,
-    SpaceModelError,
-)
+from hrflow.errors import DomainError, NonpositiveC, OnEinsteinRoot
 from hrflow.flow import IntegrationOptions, MetricState, make_rhs
 
 from oracles import per_cell_csv, scipy_trajectory
@@ -59,17 +56,38 @@ def test_rhs_two_values(su42, fix_a, fix_d):
     assert dx1 == pytest.approx(0.0, abs=1e-12)
 
 
-def test_rhs_domain_errors(su42, fix_d):
-    with pytest.raises(DomainError):
-        h.rhs_two(MetricState(0.0, 1.0, -1.0), su42)
-    with pytest.raises(DomainError):
-        h.rhs_two(MetricState(0.0, -1.0, 1.0), su42)
-    with pytest.raises(DomainError):
-        h.rhs_two(MetricState(0.0, 0.0, 1.0), su42)
-    with pytest.raises(DomainError):
-        h.rhs_two(MetricState(0.0, -1.0, 1.0), fix_d)
+def test_rhs_domain_errors(su42, fix_a, fix_d):
+    bad = ((su42, 1.0, -1.0), (su42, -1.0, 1.0), (su42, 0.0, 1.0),
+           (fix_d, -1.0, 1.0), (fix_a, 0.0, -0.5))
+    for c, x1, x2 in bad:
+        for fn in (h.rhs_two, h.first_integral, h.curvature_proxy):
+            with pytest.raises(DomainError):
+                fn(MetricState(0.0, x1, x2), c)
     with pytest.raises(DomainError):
         h.rhs_general((1.0, 0.0), h.get_space("SU42"))
+
+
+_COEFFICIENT = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300, 1e308,
+                     math.inf, -math.inf, math.nan]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(x1=_COEFFICIENT, x2=_COEFFICIENT)
+# ratios that underflow to 0 or overflow to inf
+@example(x1=1e-300, x2=1e300)
+@example(x1=5e-324, x2=2.0)
+@example(x1=1e308, x2=1e-10)
+def test_a_metric_state_is_on_the_cone_or_refused(x1, x2):
+    try:
+        state = MetricState(0.0, x1, x2)
+    except DomainError:
+        assert not (0.0 < x1 < math.inf and 0.0 < x2 < math.inf
+                    and 0.0 < x1 / x2 < math.inf)
+    else:
+        assert 0.0 < state.x1 < math.inf and 0.0 < state.x2 < math.inf
+        assert 0.0 < state.y < math.inf
 
 
 def test_scalar_curvature_su42(su42):
@@ -323,9 +341,9 @@ def test_csv_rows_match_the_per_cell_writer(tmp_path, spaces):
     # FIX-C0's forward tails and a start on an Einstein direction leave the
     # first integral empty (NaN) in some or all rows
     back = IntegrationOptions(direction=h.Direction.BACKWARD)
-    runs = [(spaces["FIX-C0"], 0.7, None), (spaces["FIX-A"], 1.0, None),
-            (spaces["SU42"], 1.0, None), (spaces["SU42"], 1.0, back),
-            (spaces["FIX-D"], 1.5, back)]
+    runs = [(h.derive_coeffs(spaces[name]), y0, opts) for name, y0, opts in (
+        ("FIX-C0", 0.7, None), ("FIX-A", 1.0, None), ("SU42", 1.0, None),
+        ("SU42", 1.0, back), ("FIX-D", 1.5, back))]
     rng = np.random.default_rng(11)
     for i in range(10):
         draw = random_nonmaximal_space if i % 2 == 0 else random_maximal_space
@@ -363,8 +381,6 @@ def test_integrate_guards(su42):
     for x1, x2 in ((1e-9, 1.0), (1e-6, 1e3), (-1.0, -1.0), (1.0, 0.0)):
         with pytest.raises(DomainError):
             h.integrate(su42, MetricState(0.0, x1, x2))
-    with pytest.raises(SpaceModelError):
-        h.integrate("not a space", MetricState(0.0, 1.0, 1.0))
 
 
 def test_norm_guard_ends_a_runaway_field():
@@ -386,6 +402,19 @@ def test_backward_runaway_is_an_ending(t285):
     assert bwd.T_estimate is None and bwd.x1[-1] > 1e11
     rep = h.classify_trajectory(h.integrate(c, init), bwd)
     assert rep.ancient_exists is False
+
+
+def test_every_sample_is_a_valid_state(fix_a, t285):
+    # a collapse leaves its last sample at the threshold, a runaway at the
+    # norm guard; both are still on the open cone
+    runaway = h.derive_coeffs(t285)
+    for c, y0, opts in ((fix_a, 0.75, FWD), (fix_a, 0.75, BWD),
+                        (runaway, 0.23869060412924192, BWD)):
+        traj = h.integrate(c, MetricState(0.0, y0, 1.0), opts)
+        for i in range(traj.n_samples):
+            state = traj.state(i)
+            assert (state.x1, state.x2) == (traj.x1[i], traj.x2[i])
+    assert traj.termination is h.Termination.RUNAWAY
 
 
 def test_steep_backward_collapse_still_terminates():
@@ -439,6 +468,11 @@ def test_options_validation():
         IntegrationOptions(rel_tol=2.0)
     with pytest.raises(ValueError):
         IntegrationOptions(collapse_epsilon=-1.0)
+    for bad in (dict(max_time=math.inf), dict(max_time=-1.0),
+                dict(max_time=0.0), dict(max_time=math.nan),
+                dict(max_steps=0), dict(max_steps=-3)):
+        with pytest.raises(ValueError):
+            IntegrationOptions(**bad)
 
 
 def test_linear_vanishing_fit(su42, fix_d):
