@@ -147,17 +147,18 @@ class Prediction:
 
 def predicted_report(regime: RegimeLabel, einstein: EinsteinSet,
                      coeffs: Coefficients) -> Prediction:
-    """What the case analysis asserts for a regime, before any numerics."""
+    """What the case analysis asserts for a regime, before any numerics;
+    only the regime's own row is built."""
     shrink = _shrink_outcome(coeffs)
     t1 = SingularType.TYPE_I
     fam, sub = regime.family, regime.subcase
     if fam == "a":
         y1, y2 = einstein.values
-        return {
-            1: Prediction(Outcome.FIBER_COLLAPSE, 0.0, True, t1, y1),
-            2: Prediction(shrink, y2, True, t1, y1),
-            3: Prediction(shrink, y2, False, None, None),
-        }[sub]
+        return Prediction(*{
+            1: (Outcome.FIBER_COLLAPSE, 0.0, True, t1, y1),
+            2: (shrink, y2, True, t1, y1),
+            3: (shrink, y2, False, None, None),
+        }[sub])
     if fam == "b":
         ybar = einstein.values[0]
         if sub == 1:
@@ -172,23 +173,23 @@ def predicted_report(regime: RegimeLabel, einstein: EinsteinSet,
         return Prediction(shrink, ybar, False, None, None)
     if fam == "d":
         y1, y2, y3 = einstein.values
-        return {
-            1: Prediction(shrink, y1, False, None, None),
-            2: Prediction(shrink, y1, True, t1, y2),
-            3: Prediction(shrink, y3, True, t1, y2),
-            4: Prediction(shrink, y3, False, None, None),
-        }[sub]
+        return Prediction(*{
+            1: (shrink, y1, False, None, None),
+            2: (shrink, y1, True, t1, y2),
+            3: (shrink, y3, True, t1, y2),
+            4: (shrink, y3, False, None, None),
+        }[sub])
     if fam == "e":
         (r_lo, m_lo), (r_hi, _) = einstein.roots
         single, double = (r_lo, r_hi) if m_lo == 1 else (r_hi, r_lo)
-        return {
-            1: Prediction(shrink, r_lo, False, None, None),
-            2: Prediction(shrink, single, True, t1, double),
-            3: Prediction(shrink, r_hi, False, None, None),
-            4: Prediction(shrink, r_lo, False, None, None),
-            5: Prediction(shrink, single, True, t1, double),
-            6: Prediction(shrink, r_hi, False, None, None),
-        }[sub]
+        return Prediction(*{
+            1: (shrink, r_lo, False, None, None),
+            2: (shrink, single, True, t1, double),
+            3: (shrink, r_hi, False, None, None),
+            4: (shrink, r_lo, False, None, None),
+            5: (shrink, single, True, t1, double),
+            6: (shrink, r_hi, False, None, None),
+        }[sub])
     if fam == "f":
         return Prediction(shrink, einstein.values[0], False, None, None)
     raise ValueError(f"unknown regime family {fam!r}")

@@ -22,6 +22,10 @@ exponents, with no threshold on x or t:
 - the singular time T is the convergent integral of x2/|H| from y0 to y*,
   computed by tanh-sinh quadrature (Takahasi and Mori, 1974) with the
   distance to y* kept exact, the level doubled until two levels agree.
+  Per chunk of starts, what does not depend on the node is computed once,
+  one pass evaluates levels FIRST_LEVEL to JOINT_LEVEL (3 to 5) together
+  and each later level takes a pass of its own over the starts not yet
+  converged; each level is still summed on its own nodes and starts.
 
 Only numpy and scalar arithmetic are used: the complex pair comes from
 deflating the known real zeros, never from an eigenvalue solver.
@@ -48,6 +52,9 @@ T_MAX = 3.5
 FIRST_LEVEL = 3
 LAST_LEVEL = 12
 QUAD_RTOL = 1e-14
+#: levels FIRST_LEVEL to JOINT_LEVEL are evaluated in one pass, since
+#: nearly every start needs them all
+JOINT_LEVEL = 5
 #: starts evaluated together, which bounds the node arrays of one pass
 CHUNK = 32
 
@@ -248,6 +255,14 @@ class YFlow:
         bounded on w in (0, 1), otherwise d = L*w.  No distance is formed
         by cancellation.  A start whose levels have not agreed by
         LAST_LEVEL keeps its finest estimate.
+
+        What does not depend on the node is computed once for the starts
+        given.  One pass evaluates the nodes of levels FIRST_LEVEL to
+        JOINT_LEVEL together, since nearly every start needs them all;
+        each later level is a pass of its own over the starts whose levels
+        have not yet agreed.  Each level's sum is taken over its own nodes
+        and the same starts either way, so T does not depend on how the
+        levels are grouped into passes.
         """
         z, h, a, b = self.z, self.h, self.a, self.b
         zs, hs, as_, bs = z[fwd], h[fwd], a[fwd], b[fwd]
@@ -259,24 +274,53 @@ class YFlow:
         lnH0 = math.log(-self.lead) + np.log(self._quad(y0))
         for j in np.nonzero(h)[0]:
             lnH0 = lnH0 + h[j] * np.log(np.abs(y0 - z[j]))
-        per = np.array([y0, zs, fwd, -move, L, gamma,
-                        (as_ - gamma) + (1.0 - hs), bs,
-                        np.log(L) - np.log(gamma) - lnH0])
+        s = -move
+        # one row per constant and one column per start, in the order
+        # _log_integrand reads them
+        cols = [gamma, (as_ - gamma) + (1.0 - hs), bs,
+                np.log(L) - np.log(gamma) - lnH0, s * L]
+        masks, points = [], []
+        for j in np.nonzero((a != 0.0) | (b != 0.0) | (h != 0))[0]:
+            skip = fwd == j
+            if skip.all():
+                continue
+            # past the forward end, or behind the start; which it is for
+            # every start that does not end there decides the branch
+            beyond = (j - fwd) * s < 0
+            others = beyond[~skip]
+            side = 1 if others.all() else 0 if others.any() else -1
+            points.append((a[j] - h[j], b[j], side, skip.any()))
+            cols += [y0 - z[j], zs - z[j]]
+            masks += [beyond, skip]
+        if self.pair is not None:
+            g0, beta = y0 - self.pair.real, self.pair.imag
+            cols += [g0, zs - self.pair.real, g0 * g0 + beta * beta]
+        cols = np.array(cols)
+        masks = np.array(masks, dtype=bool).reshape(len(masks), len(y0))
 
         T = np.empty(len(y0))
         total = np.zeros(len(y0))
         active = np.arange(len(y0))
-        for level in range(FIRST_LEVEL, LAST_LEVEL + 1):
-            lw, wt = _nodes(level)
-            total[active] += np.exp(
-                self._log_integrand(per[:, active], lw)) @ wt
-            est = total[active] * 2.0 ** -level
-            done = (np.abs(est - T[active]) <= QUAD_RTOL * np.abs(est)
-                    if level > FIRST_LEVEL else np.zeros(len(est), bool))
-            T[active] = est
-            active = active[~done]
-            if not len(active):
-                break
+        with np.errstate(divide="ignore", invalid="ignore"):
+            joint_lw, starts = _joint_nodes()
+            joint = np.exp(self._log_integrand(joint_lw, points, cols, masks))
+            for level in range(FIRST_LEVEL, LAST_LEVEL + 1):
+                lw, wt = _nodes(level)
+                if level <= JOINT_LEVEL:
+                    lo = starts[level - FIRST_LEVEL]
+                    E = joint[active, lo:lo + len(wt)]
+                else:
+                    E = np.exp(self._log_integrand(
+                        lw, points, cols[:, active], masks[:, active]))
+                total[active] += E @ wt
+                est = total[active] * 2.0 ** -level
+                done = (np.abs(est - T[active]) <= QUAD_RTOL * np.abs(est)
+                        if level > FIRST_LEVEL
+                        else np.zeros(len(est), bool))
+                T[active] = est
+                active = active[~done]
+                if not len(active):
+                    break
         return T
 
     def _quad(self, y):
@@ -285,42 +329,45 @@ class YFlow:
             return np.ones_like(y)
         return (y - self.pair.real) ** 2 + self.pair.imag ** 2
 
-    def _log_integrand(self, per, lw):
+    def _log_integrand(self, lw, points, cols, masks):
         """Log of the integrand at the nodes ln w (columns) for each start
-        (rows), from its per-start constants ``per``."""
-        y0, zs, fwd, s, L, gamma, k_ld, bs, const = (v[:, None] for v in per)
+        (rows), from the constants ``_singular_time`` computed for those
+        starts: the rows of ``cols`` and ``masks``, read in the order they
+        were written, and per point of ``points`` its coefficients, the
+        side of the starts it lies on and whether it ends some of them."""
+        gamma, k_ld, bs, const, sL = cols[:5, :, None]
+        col, mask = iter(cols[5:, :, None]), iter(masks[:, :, None])
         ld = lw / gamma                              # ln(d / L)
         one_u = -np.expm1(ld)                        # 1 - d / L
-        sd = s * L * np.exp(ld)                      # y - zs
-        delta = -s * L * one_u                       # y - y0
+        sd = sL * np.exp(ld)                         # y - zs
+        delta = -sL * one_u                          # y - y0
         out = const + k_ld * ld
         if np.any(bs != 0.0):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                end = bs * one_u / sd
-            out = out - np.where(bs != 0.0, end, 0.0)
+            out = out - np.where(bs != 0.0, bs * one_u / sd, 0.0)
         # y - z is formed as a sum of two terms of one sign: (zs - z) + sd
         # for a point z beyond the end, g0 + delta for one behind the
         # start.  For a far start, g0 = y0 - z beyond the end is far larger
         # than y - z, and g0 + delta would lose the digits of y - z.
-        for j in range(len(self.z)):
-            aj, bj, hj = self.a[j], self.b[j], self.h[j]
-            if aj == 0.0 and bj == 0.0 and hj == 0:
-                continue
-            g0 = y0 - self.z[j]
-            beyond = (j - fwd) * s < 0
-            w = np.where(beyond, (zs - self.z[j]) + sd, g0 + delta)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                term = (aj - hj) * np.where(beyond, np.log(w / g0),
-                                            np.log1p(delta / g0))
-                if bj != 0.0:
-                    term = term + bj * delta / (w * g0)
-            out = out + np.where(fwd == j, 0.0, term)
+        for coef, bj, side, ends_some in points:
+            g0, zz, beyond, skip = next(col), next(col), next(mask), next(mask)
+            if side > 0:
+                w = zz + sd
+                term = coef * np.log(w / g0)
+            elif side < 0:
+                w = g0 + delta
+                term = coef * np.log1p(delta / g0)
+            else:
+                w = np.where(beyond, zz + sd, g0 + delta)
+                term = coef * np.where(beyond, np.log(w / g0),
+                                       np.log1p(delta / g0))
+            if bj != 0.0:
+                term = term + bj * delta / (w * g0)
+            out = out + (np.where(skip, 0.0, term) if ends_some else term)
         if self.pair is not None:
             pa, beta = self.pair_a, self.pair.imag
-            g0 = y0 - self.pair.real
-            # y - Re(pair), whose rounding |y - pair| >= Im(pair) bounds
-            w = (zs - self.pair.real) + sd
-            q0 = g0 * g0 + beta * beta
+            # w = y - Re(pair), whose rounding |y - pair| >= Im(pair) bounds
+            g0, zz, q0 = next(col), next(col), next(col)
+            w = zz + sd
             out = out + (pa.real - 1.0) * np.log((w * w + beta * beta) / q0)
             # the angle of (y - pair) / (y0 - pair)
             out = out - 2.0 * pa.imag * np.arctan2(
@@ -341,3 +388,11 @@ def _nodes(level: int):
     e = np.pi * np.sinh(t)
     lw = -np.logaddexp(0.0, e)                      # ln w, exact at both ends
     return lw, np.pi * np.cosh(t) * np.exp(lw) / (1.0 + np.exp(-e))
+
+
+@functools.cache
+def _joint_nodes():
+    """ln w of the nodes of levels FIRST_LEVEL to JOINT_LEVEL side by side,
+    and the column at which each level's nodes start."""
+    lws = [_nodes(level)[0] for level in range(FIRST_LEVEL, JOINT_LEVEL + 1)]
+    return np.concatenate(lws), np.cumsum([0] + [len(v) for v in lws])

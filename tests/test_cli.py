@@ -475,6 +475,16 @@ def test_blowup_extreme_starts(tmp_path, argv, code):
                    "--out", str(tmp_path)) == code
 
 
+def test_flow_and_blowup_part_at_the_collapse_threshold(tmp_path):
+    # the one start on which the two commands do not exit alike: flow's
+    # stepper cannot start at or below the collapse threshold, while
+    # blowup reads T and the limit from the closed form
+    codes = [run_cli(command, "--space", "FIX-A", "--y0", "1e-9",
+                     "--out", str(tmp_path / command))
+             for command in ("flow", "blowup")]
+    assert codes == [2, 0]
+
+
 @pytest.mark.parametrize("command", ["flow", "blowup"])
 @pytest.mark.parametrize("argv", [
     ("--x1", "1e-300", "--x2", "1e300"),

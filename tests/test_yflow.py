@@ -2,6 +2,9 @@
 DOP853 on the planar system for the singular time, and the case table of
 ``predicted_report`` for every verdict, on seeded random valid tables."""
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -288,3 +291,49 @@ def test_fixed_direction_is_a_homothety(fix_a):
     assert list(ends.T) == pytest.approx([1 / 2.5, 1 / 2.0])
     assert list(ends.y_forward) == list(ends.y_backward) == [0.5, 1.0]
     assert ends.shrinks.all() and ends.ancient.all()
+
+
+#: SHA-256 over every field of ``YFlow.run`` on the inputs of
+#: ``_ends_runs``.  Like the goldens of test_golden.py it pins this
+#: platform's floating-point results: a rewrite of the engine that promises
+#: the same answers must leave it as it is, and a deliberate numerical
+#: change re-records it with
+#:
+#:     PYTHONPATH=src python tests/test_yflow.py
+ENDS_DIGEST = (
+    '698cba2bec0a4183a1030b7395c33d06e8c59d7bcc4115fe1743256705bed002')
+
+
+def _ends_runs():
+    """One run per table and batch size: the 8 fixtures and seeded random
+    tables of both kinds and of the a <-> C0 boundary, batches of 1, 20,
+    32 and 100 starts (the last spans several chunks) drawn log-uniform
+    in [1e-6, 1e8]."""
+    fixtures = [h.derive_coeffs(h.get_space(name)) for name in FIXTURES]
+    tables = [(c, h.einstein_roots(c)) for c in fixtures]
+    tables += [(c, es) for c, es, _ in random_starts(17, 40)]
+    tables += [(c, es) for c, es, _ in c0_boundary_starts(17, 20)]
+    rng = np.random.default_rng(17)
+    for c, es in tables:
+        engine = YFlow(c, es)
+        for n in (1, 20, 32, 100):
+            y0s = np.exp(rng.uniform(np.log(1e-6), np.log(1e8), n))
+            yield engine.run(y0s)
+
+
+def ends_digest() -> str:
+    digest = hashlib.sha256()
+    for ends in _ends_runs():
+        for f in dataclasses.fields(ends):
+            arr = np.ascontiguousarray(getattr(ends, f.name))
+            digest.update(f"{f.name} {arr.dtype.str} {arr.shape}\n".encode())
+            digest.update(arr.tobytes())
+    return digest.hexdigest()
+
+
+def test_ends_digest():
+    assert ends_digest() == ENDS_DIGEST
+
+
+if __name__ == "__main__":
+    print(f"ENDS_DIGEST = {ends_digest()!r}")
