@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotCollapsed, OutOfRange, Unclassified
+from .errors import OutOfRange, Unclassified
 from .flow import Direction, Trajectory
 from .spaces import Coefficients
 
@@ -101,13 +101,11 @@ def limit_at(c: Coefficients, y_star: float, shrinks: bool) -> SolitonLimit:
 
 
 def soliton_limit(traj: Trajectory) -> SolitonLimit:
-    """The blow-up limit of the flow that a forward collapsed run starts,
-    at the limiting direction y* that ``traj.engine`` decides from the
-    start ``traj.y[0]`` alone (see ``limit_at``)."""
+    """The blow-up limit of the flow that a forward run starts, however the
+    run ended, at the limiting direction y* that ``traj.engine`` decides
+    from the start ``traj.y[0]`` alone (see ``limit_at``)."""
     if traj.direction is not Direction.FORWARD:
         raise Unclassified("blow-up limits are read from forward trajectories")
-    if not traj.termination.is_collapse:
-        raise NotCollapsed(f"trajectory ended with {traj.termination.value}")
     engine = traj.engine
     end, _, shrinks = engine.forward_end(traj.y[:1])
     return limit_at(engine.c, engine.z[end[0]], bool(shrinks[0]))

@@ -19,12 +19,8 @@ from enum import Enum
 from .einstein import CriticalDirections, EinsteinSet
 # not called here; the benchmark tracer (perfbench/tracing.py) wraps this name
 from .einstein import einstein_roots  # noqa: F401
-from .errors import (
-    InsufficientHorizon,
-    NotCollapsed,
-    OnEinsteinRoot,
-)
-from .flow import Termination, Trajectory
+from .errors import OnEinsteinRoot
+from .flow import Trajectory
 from .spaces import Coefficients
 from .yflow import YFlow
 
@@ -229,20 +225,10 @@ def classify_starts(engine: YFlow, y0s, *,
 
 def classify_trajectory(fwd: Trajectory,
                         bwd: Trajectory | None) -> BehaviorReport:
-    """The behaviour report of the flow that ``fwd`` starts.
-
-    The forward trajectory must have collapsed, and a backward trajectory,
-    when given, must not have run out of steps (a horizon or a runaway
-    ending is fine); without one the ancient fields stay unset.  The
-    verdicts and the singular time come from the closed form along y for
-    the start ``fwd.y[0]`` in the space of ``fwd.engine``, with T scaled
-    by ``fwd.x2[0]``; the trajectories themselves are not read further.
-    """
-    if not fwd.termination.is_collapse:
-        raise NotCollapsed(f"trajectory ended with {fwd.termination.value}")
-    if bwd is not None and bwd.termination is Termination.STEP_LIMIT:
-        raise InsufficientHorizon(
-            "backward integration exhausted its step budget before the "
-            "horizon; raise max_steps or lower the horizon")
+    """The behaviour report of the flow that ``fwd`` starts, from the
+    closed form along y for the start ``fwd.y[0]`` in the space of
+    ``fwd.engine``, with T scaled by ``fwd.x2[0]``.  A backward trajectory
+    asks for the ancient fields.  Neither run is read further, so how it
+    ended (collapse, horizon, runaway or step budget) changes nothing."""
     (rep,) = classify_starts(fwd.engine, fwd.y[:1], backward=bwd is not None)
     return replace(rep, T_estimate=float(fwd.x2[0]) * rep.T_estimate)

@@ -1,10 +1,11 @@
 """Command-line front end: space ingestion, runs, sweeps and report emission.
 
 Exit codes: 0 success, 2 validation or configuration failure, 3 undetermined
-classification (a backward step budget that ran out, a forward flow that did
-not collapse within the horizon, a triple Einstein root), 4 file input/output
-failure.  Raised errors are mapped to them in ``main`` alone.  All emitted
-files are plot-ready CSV or JSON with deterministic formatting; nothing is
+classification (a singular time beyond the horizon or not finite, a triple
+Einstein root), 4 file input/output failure.  Raised errors are mapped to
+them in ``main`` alone; the closed form decides them, and the stepper,
+which only draws ``flow``'s trajectories, decides none.  All emitted files
+are plot-ready CSV or JSON with deterministic formatting; nothing is
 rendered.
 """
 
@@ -45,6 +46,7 @@ from .flow import (
     Direction,
     IntegrationOptions,
     MetricState,
+    Termination,
     integrate,
     make_rhs,
 )
@@ -213,22 +215,28 @@ def cmd_einstein(args) -> int:
 def cmd_flow(args) -> int:
     space, coeffs = _two_summand(args.space)
     init = _initial_state(args)
-    forward = _options_from(args, Direction.FORWARD)
+    horizon = _options_from(args, Direction.FORWARD).max_time
     os.makedirs(args.out, exist_ok=True)
     slug = _slug(space, args)
     # one closed-form engine serves both runs and the report
     engine = YFlow(coeffs, einstein_roots(coeffs))
 
-    fwd = integrate(coeffs, init, forward, engine=engine)
-    fwd.to_csv(os.path.join(args.out, f"{slug}_forward.csv"))
-    bwd = None
-    if args.backward:
-        bwd = integrate(coeffs, init, _options_from(args, Direction.BACKWARD),
-                        engine=engine)
-        bwd.to_csv(os.path.join(args.out, f"{slug}_backward.csv"))
+    # the stepper only draws: its ending decides how far each CSV reaches
+    runs = []
+    directions = [Direction.FORWARD] + [Direction.BACKWARD] * args.backward
+    for direction in directions:
+        traj = integrate(coeffs, init, _options_from(args, direction),
+                         engine=engine)
+        path = os.path.join(args.out, f"{slug}_{direction.value.lower()}.csv")
+        traj.to_csv(path)
+        if traj.termination is Termination.STEP_LIMIT:
+            print(f"note: {path} is truncated: the run ended with StepLimit "
+                  "before the flow did", file=sys.stderr)
+        runs.append(traj)
 
-    rep = classify_trajectory(fwd, bwd)
-    _within_horizon(rep.T_estimate, init.x2, forward.max_time)
+    # the report and the exit come from the engine alone
+    rep = classify_trajectory(runs[0], runs[1] if args.backward else None)
+    _within_horizon(rep.T_estimate, init.x2, horizon)
     _write_json(os.path.join(args.out, f"{slug}_report.json"), rep.to_dict())
     print(f"{slug}: {rep.forward_outcome.value} ({rep.singular_type.value}), "
           f"T ~ {rep.T_estimate}, ancient = {rep.ancient_exists}")

@@ -30,11 +30,12 @@ class Undetermined(HrflowError):
 
 
 class NotCollapsed(Undetermined):
-    """A collapse-only operation received a trajectory without a collapse."""
+    """A singular time beyond ``--horizon``, or one that is not finite."""
 
 
 class InsufficientHorizon(Undetermined):
-    """Backward integration hit the step limit before the requested horizon."""
+    """A backward step budget that ran out.  Nothing in this package raises
+    it; the benchmark's tracer (perfbench/tracing.py) imports it."""
 
 
 class Unclassified(HrflowError):

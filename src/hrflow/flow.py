@@ -50,11 +50,6 @@ class Termination(Enum):
     #: infinity, as a backward flow can in finite time
     RUNAWAY = "Runaway"
 
-    @property
-    def is_collapse(self) -> bool:
-        return self in (Termination.COLLAPSE_X1, Termination.COLLAPSE_X2,
-                        Termination.COLLAPSE_BOTH)
-
 
 @dataclass(frozen=True)
 class MetricState:
@@ -230,8 +225,9 @@ def curvature_proxy(state: MetricState, c: Coefficients) -> float:
 
 
 def _kappa_arrays(x1, x2, c: Coefficients):
-    w2 = 1.0 if c.planar.maximal else 0.0
-    return 1.0 / x1 + 1.0 / x2 + x1 / (x2 * x2) + w2 * x2 / (x1 * x1)
+    kappa = 1.0 / x1 + 1.0 / x2 + x1 / (x2 * x2)
+    # added only where it belongs: 0 * inf would make the cell NaN
+    return kappa + x2 / (x1 * x1) if c.planar.maximal else kappa
 
 
 # ---------------------------------------------------------------------------
@@ -274,33 +270,36 @@ def integrate(c: Coefficients, init: MetricState,
     absolute tolerance, the horizon and the norm guard are in units of
     x2(0).  Backward runs integrate the time-reversed field.  A collapse
     ending estimates the singular time by linear extrapolation of the
-    vanishing coordinate.  The first integral is NaN on a root (as
-    ``EinsteinSet.locate`` places it) and wherever it would not be a normal
-    float.  A caller that runs several flows of one space passes its
-    ``YFlow``, else one is set up here; one built for other coefficients
-    raises ValueError.  The trajectory carries it; its sampled columns are
-    read-only.
+    vanishing coordinate.  A start at or below the threshold has collapsed
+    already: its trajectory is the start row alone, with a collapse ending,
+    no T_estimate and a NaN final_rhs, and the field is not called.  The
+    first integral is NaN on a root (as ``EinsteinSet.locate`` places it)
+    and wherever it would not be a normal float; R and kappa keep, with no
+    warning, the +-inf that an overflow gives.  A caller that runs several
+    flows of one space passes its ``YFlow``, else one is set up here; one
+    built for other coefficients raises ValueError.  The trajectory
+    carries it; its sampled columns are read-only.
     """
     opts = opts or IntegrationOptions()
     eps = opts.collapse_epsilon
     scale = init.x2
     y0 = init.y
-    if not min(y0, 1.0) > eps:
-        raise DomainError(
-            f"initial state {init} is already at the collapse threshold "
-            f"{eps} (in units of x2)")
     if engine is None:
         engine = YFlow(c, einstein_roots(c))
     elif engine.c != c:
         raise ValueError(f"the engine was built for {engine.c}, not {c}")
     backward = opts.direction is Direction.BACKWARD
-    f = make_rhs(c.planar.time_reversed() if backward else c)
-
-    raw = stepper.run_adaptive(
-        f, (y0, 1.0), opts.max_time,
-        rtol=opts.rel_tol, atol=opts.abs_tol, eps=eps,
-        max_steps=opts.max_steps,
-    )
+    if min(y0, 1.0) > eps:
+        raw = stepper.run_adaptive(
+            make_rhs(c.planar.time_reversed() if backward else c),
+            (y0, 1.0), opts.max_time,
+            rtol=opts.rel_tol, atol=opts.abs_tol, eps=eps,
+            max_steps=opts.max_steps,
+        )
+    else:
+        # already collapsed: the field may not even be finite here
+        raw = stepper.RawRun([0.0], [y0], [1.0], "event", (math.nan,) * 2,
+                             0, 0 if y0 <= 1.0 else 1)
 
     sgn = -1.0 if backward else 1.0
     u1 = np.asarray(raw.x1)
@@ -315,9 +314,12 @@ def integrate(c: Coefficients, init: MetricState,
     lam = np.full_like(x1, np.nan)
     lam[guard] = _first_integral_of(engine, x2[guard], y[guard])
 
-    columns = dict(t=t, x1=x1, x2=x2, y=y,
-                   R=_scalar_curvature_arrays(x1, x2, c),
-                   kappa=_kappa_arrays(x1, x2, c), first_integral=lam)
+    # far from the cone's centre the curvature cells overflow to +-inf
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        R = _scalar_curvature_arrays(x1, x2, c)
+        kappa = _kappa_arrays(x1, x2, c)
+    columns = dict(t=t, x1=x1, x2=x2, y=y, R=R, kappa=kappa,
+                   first_integral=lam)
     for col in columns.values():
         col.flags.writeable = False  # a frozen record with frozen columns
     return Trajectory(

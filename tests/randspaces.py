@@ -53,16 +53,22 @@ def random_maximal_space(rng: np.random.Generator,
     )
 
 
-def random_starts(seed: int, n: int):
-    """n random tables, alternately non-maximal and maximal, as (derived
-    coefficients, Einstein set, y0), each with a start y0 log-uniform in
-    [0.05, 20] that is not an Einstein direction."""
+def random_tables(seed: int, n: int):
+    """n random tables, alternately non-maximal and maximal, as (space, y0),
+    each with a start y0 log-uniform in [0.05, 20]."""
     rng = np.random.default_rng(seed)
     for i in range(n):
         draw = random_nonmaximal_space if i % 2 == 0 else random_maximal_space
-        c = derive_coeffs(draw(rng, f"R{i}"))
+        space = draw(rng, f"R{i}")
+        yield space, float(np.exp(rng.uniform(np.log(0.05), np.log(20.0))))
+
+
+def random_starts(seed: int, n: int):
+    """The draws of ``random_tables`` as (derived coefficients, Einstein
+    set, y0), each start checked not to be an Einstein direction."""
+    for space, y0 in random_tables(seed, n):
+        c = derive_coeffs(space)
         es = einstein_roots(c)
-        y0 = float(np.exp(rng.uniform(np.log(0.05), np.log(20.0))))
         assert es.on_root(y0) is None
         yield c, es, y0
 

@@ -8,13 +8,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hrflow as h
 from hrflow import cli, stepper
 from hrflow.cli import main
 from hrflow.yflow import YFlow
 
-from randspaces import random_maximal_space, random_nonmaximal_space
+from randspaces import (
+    random_maximal_space,
+    random_nonmaximal_space,
+    random_tables,
+)
 from test_golden import Y0 as GOLDEN_Y0
 
 
@@ -256,12 +262,18 @@ def test_sweep_fixed_direction_rows_are_full(tmp_path):
         assert len(row.split(",")) == n_fields
 
 
-def test_flow_undetermined_exit_code(tmp_path):
-    # budget lets the forward run finish but starves the backward probe
-    code = run_cli("flow", "--space", "FIX-A", "--y0", "0.75", "--backward",
-                   "--max-steps", "250", "--horizon", "1e9",
-                   "--out", str(tmp_path))
-    assert code == 3
+def test_flow_undetermined_exit_code(tmp_path, capsys):
+    # a budget that lets the forward run finish but starves the backward
+    # run cuts the backward CSV short, and one line on stderr names it;
+    # the exit and the report stay those of the default budget
+    argv = ("flow", "--space", "FIX-A", "--y0", "0.75", "--backward",
+            "--horizon", "1e9")
+    starved = _payload(tmp_path, *argv, "--max-steps", "250")
+    (note,) = capsys.readouterr().err.splitlines()
+    assert note.split()[:2] == [
+        "note:", str(tmp_path / "0" / "FIX-A_y0_0.75_backward.csv")]
+    assert starved == _payload(tmp_path, *argv)
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("argv", [
@@ -277,14 +289,23 @@ def test_undetermined_runs_exit_3(tmp_path, argv):
     assert run_cli(*argv, "--out", str(tmp_path)) == 3
 
 
+def _json_out(tmp_path, *argv) -> tuple[int, bytes | None]:
+    """Exit code and the report or blow-up JSON bytes (None when none was
+    written) of one command run in a fresh output directory."""
+    out = tmp_path / str(len(list(tmp_path.iterdir())))
+    code = run_cli(*argv, "--out", str(out))
+    found = [p.read_bytes() for p in out.glob("*.json")
+             if p.name.endswith(("_report.json", "_blowup.json"))]
+    assert len(found) <= 1
+    return code, found[0] if found else None
+
+
 def _payload(tmp_path, *argv) -> dict:
     """Exit code 0 and the report or blow-up JSON of one command run in a
     fresh output directory."""
-    out = tmp_path / str(len(list(tmp_path.iterdir())))
-    assert run_cli(*argv, "--out", str(out)) == 0
-    (path,) = [p for p in out.iterdir()
-               if p.name.endswith(("_report.json", "_blowup.json"))]
-    return json.loads(path.read_text())
+    code, payload = _json_out(tmp_path, *argv)
+    assert code == 0 and payload is not None
+    return json.loads(payload)
 
 
 @pytest.mark.parametrize("command", [("flow", "--backward"), ("blowup",)])
@@ -476,13 +497,78 @@ def test_blowup_extreme_starts(tmp_path, argv, code):
 
 
 def test_flow_and_blowup_part_at_the_collapse_threshold(tmp_path):
-    # the one start on which the two commands do not exit alike: flow's
-    # stepper cannot start at or below the collapse threshold, while
-    # blowup reads T and the limit from the closed form
+    # they do not part there: flow draws the start row alone, and both
+    # commands read T from the closed form
     codes = [run_cli(command, "--space", "FIX-A", "--y0", "1e-9",
                      "--out", str(tmp_path / command))
              for command in ("flow", "blowup")]
-    assert codes == [2, 0]
+    assert codes == [0, 0]
+
+
+@pytest.mark.parametrize("space", ["FIX-A", "FIX-D"])
+@pytest.mark.parametrize("y0", ["1e-9", "1e-300"])
+def test_flow_draws_a_collapsed_start_as_its_row(tmp_path, space, y0):
+    # at or below the collapse threshold the flow has collapsed already:
+    # each CSV is the start row, and T is blowup's, float for float
+    rep = _payload(tmp_path, "flow", "--space", space, "--y0", y0,
+                   "--backward")
+    blow = _payload(tmp_path, "blowup", "--space", space, "--y0", y0)
+    assert rep["T_estimate"] == blow["T_estimate"]
+    csvs = sorted((tmp_path / "0").glob("*.csv"))
+    assert [p.name.split("_")[-1] for p in csvs] == ["backward.csv",
+                                                     "forward.csv"]
+    for csv in csvs:
+        _, row = csv.read_text().splitlines()
+        assert [float(v) for v in row.split(",")[:4]] == \
+            [0.0, float(y0), 1.0, float(y0)]
+
+
+#: random tables with their starts, for the budget test below
+_RANDOM_TABLES = list(random_tables(31, 40))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(start=st.one_of(
+           st.sampled_from([(name, y0) for name, golden in GOLDEN_Y0.items()
+                            for y0 in (golden, "1e-9", "1e-300")]),
+           st.integers(0, len(_RANDOM_TABLES) - 1)),
+       backward=st.booleans(),
+       max_steps=st.one_of(st.integers(1, 100), st.integers(
+           1, h.IntegrationOptions().max_steps)),
+       stretch=st.one_of(st.just(1.0), st.floats(1.0, 1e3)))
+@example(start=("FIX-A", "1e-9"), backward=True, max_steps=1, stretch=1.0)
+@example(start=("FIX-A", "1e-300"), backward=True, max_steps=1, stretch=1.0)
+def test_flow_exit_and_report_ignore_the_stepper(tmp_path_factory, start,
+                                                 backward, max_steps,
+                                                 stretch):
+    # the stepper only draws: flow's exit and report bytes do not depend
+    # on the step budget or on a horizon at or above T, and flow exits as
+    # blowup does, with the same T_estimate, float for float
+    out = tmp_path_factory.mktemp("engine")
+    if isinstance(start, int):
+        space, y0 = _RANDOM_TABLES[start]
+        ref, y0 = str(out / "table.json"), repr(y0)
+        h.dump_space(space, ref)
+    else:
+        ref, y0 = start
+        space = h.get_space(ref)
+    c = h.derive_coeffs(space)
+    T = float(YFlow(c, h.einstein_roots(c)).run([float(y0)]).T[0])
+    horizon = ("--horizon", repr(T * stretch))
+    flow = ("flow", "--space", ref, "--y0", y0, *["--backward"] * backward)
+    blowup = ("blowup", "--space", ref, "--y0", y0)
+
+    code, report = _json_out(out, *flow)
+    assert _json_out(out, *flow, "--max-steps", str(max_steps)) == \
+        (code, report)
+    code_h, report_h = _json_out(out, *flow, *horizon)
+    assert code_h == 0 and (code != 0 or report_h == report)
+    for (want, rep), argv in (((code, report), blowup),
+                              ((code_h, report_h), (*blowup, *horizon))):
+        got, payload = _json_out(out, *argv)
+        assert got == want
+        assert want != 0 or \
+            json.loads(payload)["T_estimate"] == json.loads(rep)["T_estimate"]
 
 
 @pytest.mark.parametrize("command", ["flow", "blowup"])
@@ -621,6 +707,34 @@ def test_no_module_imports_a_name_it_never_reads(monkeypatch):
         dead += [f"{module}.{name}"
                  for name in sorted(imported - read - exempt)]
     assert not dead
+
+
+def test_every_error_class_is_raised_or_needed():
+    # an error class nothing raises is dead code, unless a raised class
+    # derives from it or the benchmark imports it (its names are read from
+    # perfbench/ itself, as the dead-import check reads tracing.SPANS)
+    src = Path(cli.__file__).parent
+    bench = Path(__file__).parents[1] / "perfbench"
+
+    def trees(paths):
+        return [ast.parse(p.read_text(encoding="utf-8")) for p in paths]
+
+    raised = set()
+    for node in (n for t in trees(src.glob("*.py")) for n in ast.walk(t)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
+    imported = {a.name for t in trees(bench.glob("*.py"))
+                for n in ast.walk(t)
+                if isinstance(n, ast.ImportFrom)
+                and n.module == "hrflow.errors" for a in n.names}
+    classes = [obj for obj in vars(h.errors).values()
+               if isinstance(obj, type) and obj.__module__ == "hrflow.errors"]
+    bases = {base.__name__ for cls in classes if cls.__name__ in raised
+             for base in cls.__mro__[1:]}
+    assert len(classes) > 1
+    assert [cls.__name__ for cls in classes
+            if cls.__name__ not in raised | bases | imported] == []
 
 
 def test_no_function_takes_a_parameter_it_never_reads():

@@ -377,10 +377,34 @@ def test_csv_formats_every_double_as_format_does(tmp_path, su42):
     assert (tmp_path / "odd.csv").read_text() == per_cell_csv(odd)
 
 
-def test_integrate_guards(su42):
-    for x1, x2 in ((1e-9, 1.0), (1e-6, 1e3), (-1.0, -1.0), (1.0, 0.0)):
+def test_integrate_guards(su42, monkeypatch):
+    for x1, x2 in ((-1.0, -1.0), (1.0, 0.0)):
         with pytest.raises(DomainError):
             h.integrate(su42, MetricState(0.0, x1, x2))
+    # a start at the collapse threshold (in units of x2) has collapsed
+    # already: its trajectory is the start row, and nothing is stepped
+    monkeypatch.setattr(stepper, "run_adaptive", None)
+    for x1, x2 in ((1e-9, 1.0), (1e-6, 1e3)):
+        for opts in (FWD, BWD):
+            traj = h.integrate(su42, MetricState(0.0, x1, x2), opts)
+            assert (traj.x1.tolist(), traj.x2.tolist()) == ([x1], [x2])
+            assert traj.termination is h.Termination.COLLAPSE_X1
+
+
+def test_curvature_cells_overflow_without_warning(fix_a, fix_d):
+    # evaluated as written, with no warning: a term that overflows gives
+    # +-inf, and the non-maximal kappa has no x2/x1^2 term to make it NaN
+    one_step = IntegrationOptions(max_steps=1)
+
+    def start_cells(c, y0):
+        traj = h.integrate(c, MetricState(0.0, y0, 1.0), one_step)
+        assert not np.isnan(traj.R).any() and not np.isnan(traj.kappa).any()
+        return traj.R[0], traj.kappa[0]
+
+    R, kappa = start_cells(fix_a, 1e-300)
+    assert R == pytest.approx(1e300) and kappa == pytest.approx(1e300)
+    assert start_cells(fix_d, 1e-300) == (-math.inf, math.inf)
+    assert start_cells(fix_a, 1e200)[0] == -math.inf
 
 
 def test_norm_guard_ends_a_runaway_field():
