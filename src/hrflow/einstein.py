@@ -4,7 +4,9 @@ An Einstein direction is a ratio y = x1/x2 along which the flow is a pure
 homothety.  In the non-maximal kind these are the positive roots of the
 quadratic C - D*y + (A+B)*y^2; in the maximal kind the roots of the cubic
 -(B2+C1)*y^3 + A2*y^2 - A1*y + (B1+C2), which are always strictly positive
-and at least one of which exists.
+and at least one of which exists.  Both kinds, and the scalar-zero rays,
+take their roots from ``roots.real_roots``; only the C0 family (C = 0) is
+read off directly.
 """
 
 from __future__ import annotations
@@ -55,7 +57,8 @@ class EinsteinSet:
         r = np.array(self.values)
         near = (np.abs(y[..., None] - r)
                 <= ROOT_EXCLUSION * np.minimum(1.0 + r, 2.0 * r))
-        # distinct roots lie MERGE_TOL apart, so a ratio is near one at most
+        # real_roots merges roots closer than MERGE_TOL, so a ratio is near
+        # one at most
         return (np.searchsorted(r, y, side="right"),
                 near @ np.arange(1, r.size + 1) - 1)
 
@@ -84,52 +87,28 @@ class ScalarZeroDirections:
     has_zero_root: bool = False
 
 
-def _quadratic_roots(c: Coefficients) -> EinsteinSet:
-    """Positive roots of C - D*y + (A+B)*y^2 with case classification."""
-    a2, negD, C = poly = c.planar.homothety
-    D = -negD
-    if C < C0_BELOW:
-        root = D / a2
-        root = rt._newton_polish((a2, negD, 0.0), root, 0.0, math.inf)
-        return EinsteinSet(((root, 1),), "C0")
-    disc = D * D - 4.0 * C * a2
-    center = D / (2.0 * a2)
-    separation = math.sqrt(abs(disc)) / a2
-    if separation <= rt.MERGE_TOL * (1.0 + center):
-        return EinsteinSet(((center, 2),), "b")
-    if disc < 0.0:
-        return EinsteinSet((), "c")
-    pair = rt.quadratic_real_roots(a2, negD, C)
-    polished = tuple(
-        (rt._newton_polish(poly, r, 0.0, math.inf), 1) for r in pair
-    )
-    for r, _ in polished:
-        if r <= 0.0:
-            raise AssertionError(f"nonpositive Einstein root {r} from {c}")
-        assert rt.residual_ok(poly, r)
-    return EinsteinSet(polished, "a")
-
-
-def _cubic_roots(c: Coefficients) -> EinsteinSet:
-    """All (positive) roots of the maximal homothety cubic."""
-    coeffs = c.planar.homothety
-    found = rt.cubic_real_roots(coeffs)
-    if not found:
-        raise AssertionError(f"maximal cubic lost all roots for {c}")
-    for r, _ in found:
-        if r <= 0.0:
-            raise AssertionError(f"nonpositive Einstein root {r} from {c}")
-        if not rt.residual_ok(coeffs, r):
-            raise AssertionError(f"root residual too large at {r} for {c}")
-    label = {3: "d", 2: "e", 1: "f"}[len(found)]
-    return EinsteinSet(tuple(found), label)
-
-
 def einstein_roots(c: Coefficients) -> EinsteinSet:
-    """Einstein directions: the positive zeros of f1 - y*f2."""
-    if len(c.planar.homothety) == 3:
-        return _quadratic_roots(c)
-    return _cubic_roots(c)
+    """Einstein directions: the positive zeros of the homothety polynomial
+    f1 - y*f2, labelled by its degree and its count of distinct roots."""
+    poly = c.planar.homothety
+    quadratic = len(poly) == 3
+    c0 = quadratic and poly[2] < C0_BELOW
+    if c0:  # H = y*((A+B)*y - D), whose one direction is D/(A+B)
+        poly = (poly[0], poly[1], 0.0)
+    found = []
+    for r, m in [(-poly[1] / poly[0], 1)] if c0 else rt.real_roots(poly):
+        if quadratic and m == 1:
+            r = rt._newton_polish(poly, r, 0.0, math.inf)
+        if r <= 0.0:
+            raise AssertionError(f"nonpositive Einstein root {r} from {c}")
+        # a quadratic's merged centre need not be a float root
+        if (m == 1 or not quadratic) and not rt.residual_ok(poly, r):
+            raise AssertionError(f"root residual too large at {r} for {c}")
+        found.append((r, m))
+    if not found and not quadratic:
+        raise AssertionError(f"maximal cubic lost all roots for {c}")
+    label = "cba"[len(found)] if quadratic else "fed"[len(found) - 1]
+    return EinsteinSet(tuple(found), "C0" if c0 else label)
 
 
 def einstein_scale_constants(c: Coefficients, root: float) -> tuple[float, float]:
@@ -176,15 +155,10 @@ def scalar_zero_directions(c: Coefficients) -> ScalarZeroDirections:
     """Directions on which the scalar curvature changes sign."""
     p = c.planar
     poly = p.scalar_zero
-    if len(poly) == 4:
-        found = [r for r, _ in rt.cubic_real_roots(poly)]
-    elif p.a0 < C0_BELOW:
-        return ScalarZeroDirections(
-            positive_roots=(2.0 * p.b0 / p.b1,), negative_roots=(),
-            has_zero_root=True,
-        )
-    else:
-        found = rt.quadratic_real_roots(*poly)
+    if len(poly) == 3 and p.a0 < C0_BELOW:
+        return ScalarZeroDirections(positive_roots=(2.0 * p.b0 / p.b1,),
+                                    negative_roots=(), has_zero_root=True)
+    found = [r for r, _ in rt.real_roots(poly)]
     pos = tuple(r for r in found if r > 0.0)
     neg = tuple(r for r in found if r < 0.0)
     # a quadratic has one positive zero, a cubic two; each has one negative

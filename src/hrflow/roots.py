@@ -2,8 +2,10 @@
 
 Roots are located on sign changes of the exactly evaluated polynomial and
 polished with a bisection/Newton hybrid; no eigenvalue companion machinery.
-Nearly coincident roots are merged into multiple roots so that downstream
-case splits get a discrete answer.
+``real_roots`` isolates every real root of a quadratic or a cubic, both
+isotropy kinds' polynomials alike, and is the one place where nearly
+coincident roots are merged into a multiple root, so that downstream case
+splits get a discrete answer.
 """
 
 from __future__ import annotations
@@ -109,71 +111,54 @@ def root_bound(coeffs: tuple[float, ...]) -> float:
     return 1.0 + max(abs(c) for c in coeffs[1:]) / lead
 
 
-def cubic_real_roots(
-        coeffs: tuple[float, float, float, float]) -> list[tuple[float, int]]:
-    """All real roots of a cubic with multiplicities, sorted ascending.
+def real_roots(coeffs: tuple[float, ...]) -> list[tuple[float, int]]:
+    """All real roots of a quadratic or a cubic (highest degree first) with
+    their multiplicities, sorted ascending.
 
-    The critical points of the cubic split the real line into monotone
-    pieces; every strict sign change is bisected and a near-zero critical
-    value is reported as a double (or triple) root.
+    The one place that decides when two roots are one.  A quadratic's pair,
+    real or complex, is one double root at its centre when its exact
+    separation sqrt|disc|/|a| is at most MERGE_TOL * (1 + |centre|).  A
+    cubic's critical point is a multiple root when the cubic's value there
+    is below what a pair of roots MERGE_TOL apart would give; every other
+    root is bisected on a sign change between the critical points.
     """
-    c3, c2, c1, c0 = coeffs
-    if c3 == 0.0:
+    if coeffs[0] == 0.0:
         raise ValueError("leading coefficient must be nonzero")
+    if len(coeffs) == 3:
+        a, b, c = coeffs
+        disc = b * b - 4.0 * a * c
+        center = -b / (2.0 * a)
+        if math.sqrt(abs(disc)) / abs(a) <= MERGE_TOL * (1.0 + abs(center)):
+            return [(center, 2)]
+        return [(r, 1) for r in quadratic_real_roots(a, b, c)]
+    c3, c2, c1, c0 = coeffs
     bound = root_bound(coeffs)
     crits = quadratic_real_roots(3.0 * c3, 2.0 * c2, c1)
 
-    def val(y: float) -> float:
-        return eval_poly(coeffs, y)
-
     def crit_is_root(y: float) -> bool:
-        # |p| below the size a pair of roots MERGE_TOL apart would produce
         half_gap = 0.5 * MERGE_TOL * (1.0 + abs(y))
         curv = abs(6.0 * c3 * y + 2.0 * c2)
-        thr = 0.5 * curv * half_gap ** 2 + 1e-300
-        return abs(val(y)) <= thr
+        return abs(eval_poly(coeffs, y)) <= 0.5 * curv * half_gap ** 2 + 1e-300
 
-    if len(crits) < 2 or abs(crits[1] - crits[0]) <= 1e-14 * (1.0 + abs(crits[0])):
+    if not crits or abs(crits[1] - crits[0]) <= 1e-14 * (1.0 + abs(crits[0])):
         # monotone (or saddle): single real root, possibly triple
         if crits and crit_is_root(crits[0]):
             return [(crits[0], 3)]
-        root = hybrid_root(coeffs, -bound, bound)
-        return [(root, 1)]
-
-    lo_c, hi_c = crits
-    v_lo, v_hi = val(lo_c), val(hi_c)
-    if crit_is_root(lo_c) and crit_is_root(hi_c):
-        return [(0.5 * (lo_c + hi_c), 3)]
-    if crit_is_root(lo_c):
-        simple = -c0 / (c3 * lo_c * lo_c)  # product of roots
+        return [(hybrid_root(coeffs, -bound, bound), 1)]
+    on_root = [y for y in crits if crit_is_root(y)]
+    if len(on_root) == 2:
+        return [(0.5 * (crits[0] + crits[1]), 3)]
+    if on_root:
+        double = on_root[0]
+        simple = -c0 / (c3 * double * double)  # product of roots
         simple = _newton_polish(coeffs, simple, -bound, bound)
-        return sorted(((lo_c, 2), (simple, 1)))
-    if crit_is_root(hi_c):
-        simple = -c0 / (c3 * hi_c * hi_c)
-        simple = _newton_polish(coeffs, simple, -bound, bound)
-        return sorted(((hi_c, 2), (simple, 1)))
-
-    points = [-bound, lo_c, hi_c, bound]
+        return sorted(((double, 2), (simple, 1)))
+    points = [-bound, *crits, bound]
     roots: list[tuple[float, int]] = []
     for a, b in zip(points[:-1], points[1:]):
-        fa, fb = val(a), val(b)
+        fa, fb = eval_poly(coeffs, a), eval_poly(coeffs, b)
         if fa == 0.0:
             continue  # endpoint roots only at crits, handled above
         if fb == 0.0 or (fa > 0) != (fb > 0):
             roots.append((hybrid_root(coeffs, a, b), 1))
-    return merge_close_roots(roots)
-
-
-def merge_close_roots(
-        roots: list[tuple[float, int]]) -> list[tuple[float, int]]:
-    """Collapse clusters closer than MERGE_TOL * (1 + |root|)."""
-    if not roots:
-        return []
-    out: list[tuple[float, int]] = []
-    for r, m in sorted(roots):
-        if out and abs(r - out[-1][0]) <= MERGE_TOL * (1.0 + abs(r)):
-            prev, pm = out[-1]
-            out[-1] = ((prev * pm + r * m) / (pm + m), pm + m)
-        else:
-            out.append((r, m))
-    return out
+    return roots

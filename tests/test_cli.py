@@ -758,3 +758,22 @@ def test_no_function_takes_a_parameter_it_never_reads():
             unread += [f"hrflow.{path.stem}.{fn.name}.{name}"
                        for name in sorted(params - read - {"self", "cls"})]
     assert sorted(set(unread) - exempt) == []
+
+
+def test_no_function_assigns_a_local_it_never_reads():
+    # a local nothing reads is dead code; names read by a nested function
+    # count as read, and names that start with "_" are placeholders
+    unread = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            names = [node for stmt in fn.body for node in ast.walk(stmt)
+                     if isinstance(node, ast.Name)]
+            stored = {n.id for n in names if isinstance(n.ctx, ast.Store)}
+            read = {n.id for n in names if isinstance(n.ctx, ast.Load)}
+            unread += [f"hrflow.{path.stem}.{fn.name}.{name}"
+                       for name in sorted(stored - read)
+                       if not name.startswith("_")]
+    assert unread == []

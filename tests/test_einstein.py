@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -8,9 +9,15 @@ from hypothesis import strategies as st
 import hrflow as h
 from hrflow.einstein import ROOT_EXCLUSION
 from hrflow.errors import NotAnEinsteinRoot, SpaceModelError
+from hrflow.spaces import FIX_E2_CONSTANT, FIX_E_CONSTANT
 
 from oracles import max_cubic, max_cubic_bound, nonmax_quadratic, sweep_roots
-from randspaces import random_maximal_space, random_nonmaximal_space
+from randspaces import (
+    c0_boundary_starts,
+    random_maximal_space,
+    random_nonmaximal_space,
+    random_tables,
+)
 
 
 def test_su42_has_no_einstein_direction(su42):
@@ -302,3 +309,83 @@ def test_locate_against_a_per_root_reference():
         # both faces tell a root from its tolerance boundary
         assert any(k >= 0 for _, k in want) == bool(es.roots)
     assert {"a", "c", "d", "f"} <= cases
+
+
+FIXTURES = ("SU42", "FIX-A", "FIX-B", "FIX-C0", "FIX-D", "FIX-E", "FIX-E2",
+            "FIX-F")
+
+#: SHA-256 over the reprs of ``einstein_roots``, ``scalar_zero_directions``
+#: and ``critical_directions`` (or the name of the error each raises) on
+#: the records of ``_roots_records``.  It pins this platform's
+#: floating-point results of the root layer: a rewrite that promises the
+#: same roots must leave it as it is, and a deliberate numerical change
+#: re-records it with
+#:
+#:     PYTHONPATH=src python tests/test_einstein.py
+ROOTS_DIGEST = (
+    'ea12eb45c4ecfb2960337178eb5d6c5047d7451be43f8d9b0e1db32d9d25f2c1')
+
+
+def _roots_records():
+    """About 2,200 records: the 8 fixtures, seeded random tables of both
+    kinds and of the a <-> C0 boundary, quadratics at relative distance
+    10^-k (k = 1..16) on either side of the a <-> b boundary
+    C = D^2/(4(A+B)), quadratics whose pair, real or complex, lies
+    1e-7 * (1 + centre) * (1 +- 10^-u) apart (u in [1, 3]), astride
+    today's merge distance, and FIX-D-family tables whose constant term sits
+    m * 10^-k (m in [1, 10), k = 2..16) on either side of FIX_E_CONSTANT
+    or FIX_E2_CONSTANT."""
+    for name in FIXTURES:
+        yield h.derive_coeffs(h.get_space(name))
+    for space, _ in random_tables(23, 1000):
+        yield h.derive_coeffs(space)
+    for c, _, _ in c0_boundary_starts(23, 200):
+        yield c
+    rng = np.random.default_rng(23)
+    for _ in range(500):
+        d1, d2 = (int(d) for d in rng.integers(1, 9, 2))
+        A, D = float(rng.uniform(0.05, 5.0)), float(rng.uniform(0.1, 6.0))
+        B = 2.0 * d1 * A / d2
+        sign = float(rng.choice((-1.0, 1.0)))
+        rel = sign * 10.0 ** -int(rng.integers(1, 17))
+        C = D * D / (4.0 * (A + B)) * (1.0 + rel)
+        yield h.NonMaxCoeffs(A=A, B=B, C=C, D=D, d1=d1, d2=d2)
+    for _ in range(200):
+        d1, d2 = (int(d) for d in rng.integers(1, 9, 2))
+        A, D = float(rng.uniform(0.05, 5.0)), float(rng.uniform(0.1, 6.0))
+        B = 2.0 * d1 * A / d2
+        a = A + B
+        sign = float(rng.choice((-1.0, 1.0)))
+        gap = 1e-7 * (1.0 + D / (2.0 * a)) * (
+            1.0 + sign * 10.0 ** -float(rng.uniform(1.0, 3.0)))
+        sign = float(rng.choice((-1.0, 1.0)))
+        C = (D * D - sign * (gap * a) ** 2) / (4.0 * a)
+        yield h.NonMaxCoeffs(A=A, B=B, C=C, D=D, d1=d1, d2=d2)
+    for i in range(300):
+        base = FIX_E_CONSTANT if i % 2 == 0 else FIX_E2_CONSTANT
+        k = base + float(rng.choice((-1.0, 1.0)) * rng.uniform(1.0, 10.0)
+                         * 10.0 ** -int(rng.integers(2, 17)))
+        yield h.derive_coeffs(h.make_space(
+            f"FIXD{i}", d=(2, 1), b=(3.9, 3.5 + k),
+            triple_entries={(1, 1, 2): k, (1, 2, 2): 0.8}))
+
+
+def roots_digest() -> str:
+    digest = hashlib.sha256()
+    for c in _roots_records():
+        for f in (h.einstein_roots, h.scalar_zero_directions,
+                  h.critical_directions):
+            try:
+                out = repr(f(c))
+            except (AssertionError, SpaceModelError) as e:
+                out = type(e).__name__  # the refusal is part of the answer
+            digest.update(f"{out}\n".encode())
+    return digest.hexdigest()
+
+
+def test_roots_digest():
+    assert roots_digest() == ROOTS_DIGEST
+
+
+if __name__ == "__main__":
+    print(f"ROOTS_DIGEST = {roots_digest()!r}")
