@@ -1,4 +1,5 @@
 import ast
+import bisect
 import hashlib
 import json
 import math
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 import hrflow as h
 from hrflow import cli, stepper
 from hrflow.cli import main
+from hrflow.flow import make_rhs
 from hrflow.yflow import YFlow
 
 from randspaces import (
@@ -192,6 +194,50 @@ def test_portrait_refuses_an_overflowing_grid(tmp_path, capsys):
                    "--out", str(out)) == 2
     assert "overflows" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _expected_portrait_rows(c, xs1: list, xs2: list) -> list[str]:
+    """The portrait CSV built cell by cell in plain Python: row i*ny + j is
+    the point (xs1[i], xs2[j]), its field, the sign of R at it and the band
+    of x1/x2 between the region edges."""
+    if c.planar.maximal:
+        cd = h.critical_directions(c)
+        edges, labels = [cd.y_tilde_1, cd.y_tilde_2], ["X1", "X2", "X3"]
+    else:
+        edges, labels = [c.planar.b0 / c.planar.b1], ["below_DB", "above_DB"]
+    field = make_rhs(c)
+    rows = []
+    for x1 in xs1:
+        for x2 in xs2:
+            R = h.scalar_curvature(h.MetricState(0.0, x1, x2), c)
+            cells = [format(v, ".17g") for v in (x1, x2, *field(x1, x2))]
+            cells.append("0" if R == 0.0 else "+" if R > 0 else "-")
+            cells.append(labels[bisect.bisect_right(edges, x1 / x2)])
+            rows.append(",".join(cells))
+    return rows
+
+
+def test_portrait_rows_cell_by_cell(tmp_path):
+    # seeded grids over every fixture, with ranges drawn as the benchmark
+    # draws them; each row must equal the plain-Python oracle byte for byte
+    rng = np.random.default_rng(18)
+    for k in range(120):
+        name = SWEEP_FIXTURES[k % len(SWEEP_FIXTURES)]
+        nx, ny = (int(n) for n in rng.integers(2, 13, 2))
+        lo = np.exp(rng.uniform(np.log(0.02), np.log(0.5), 2))
+        lo, hi = lo.tolist(), (lo + rng.uniform(1.0, 4.0, 2)).tolist()
+        out = tmp_path / str(k)
+        assert run_cli("portrait", "--space", name, "--grid", f"{nx}x{ny}",
+                       "--x1-range", f"{lo[0]!r},{hi[0]!r}",
+                       "--x2-range", f"{lo[1]!r},{hi[1]!r}",
+                       "--out", str(out)) == 0
+        header, *rows = (out / f"{name}_portrait.csv").read_text().split("\n")
+        assert header == "x1,x2,dx1,dx2,R_sign,region"
+        assert rows.pop() == "" and len(rows) == nx * ny
+        c = h.derive_coeffs(h.get_space(name))
+        assert rows == _expected_portrait_rows(
+            c, np.linspace(lo[0], hi[0], nx).tolist(),
+            np.linspace(lo[1], hi[1], ny).tolist()), (name, nx, ny)
 
 
 def test_portrait_bad_grid(tmp_path):
@@ -450,6 +496,33 @@ def test_blowup_T_is_the_flow_report_T(tmp_path):
         y0 = float(np.exp(rng.uniform(np.log(0.05), np.log(20.0))))
         T, want = _blowup_and_report_T(tmp_path, str(path), repr(y0))
         assert T == want, (i, y0)
+
+
+def test_sweep_row_is_the_flow_report(tmp_path):
+    # a one-start grid sweep and flow --backward from that start share the
+    # closed form: same y0, T to the bit, outcome and ancient_exists
+    rng = np.random.default_rng(9)
+    starts = list(GOLDEN_Y0.items())
+    for i in range(50):
+        draw = random_nonmaximal_space if i % 2 == 0 else random_maximal_space
+        path = tmp_path / f"table_{i}.json"
+        h.dump_space(draw(rng, f"R{i}"), str(path))
+        y0 = float(np.exp(rng.uniform(np.log(0.05), np.log(20.0))))
+        starts.append((str(path), repr(y0)))
+    for k, (space, y0) in enumerate(starts):
+        out = tmp_path / f"sweep_{k}"
+        assert run_cli("sweep", "--space", space, "--mode", "grid",
+                       "--count", "1", "--y0-range", f"{y0},{2 * float(y0)!r}",
+                       "--out", str(out)) == 0
+        (csv,) = out.glob("*_sweep.csv")
+        _, row = csv.read_text().splitlines()
+        cells = row.split(",")
+        rep = _payload(tmp_path, "flow", "--space", space, "--y0", y0,
+                       "--backward")
+        assert float(cells[1]) == float(y0), (space, y0)
+        assert cells[3] == rep["forward_outcome"], (space, y0)
+        assert float(cells[4]) == rep["T_estimate"], (space, y0)
+        assert cells[5] == str(rep["ancient_exists"]), (space, y0)
 
 
 def test_blowup_steps_no_trajectory(tmp_path, monkeypatch):
