@@ -272,9 +272,9 @@ def cmd_portrait(args) -> int:
     # looked up in flow at call time: perfbench/tracing.py patches it there
     from .flow import _scalar_curvature_arrays
 
-    u1, u2 = (g.ravel() for g in np.meshgrid(
-        np.linspace(x1_lo, x1_hi, nx), np.linspace(x2_lo, x2_hi, ny),
-        indexing="ij"))
+    xs1 = np.linspace(x1_lo, x1_hi, nx)
+    xs2 = np.linspace(x2_lo, x2_hi, ny)
+    u1, u2 = (g.ravel() for g in np.meshgrid(xs1, xs2, indexing="ij"))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         d1, d2 = make_rhs(coeffs)(u1, u2)
         R = _scalar_curvature_arrays(u1, u2, coeffs)
@@ -286,11 +286,18 @@ def cmd_portrait(args) -> int:
     region = labels[np.searchsorted(edges, u1 / u2, side="right")]
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"{slug}_portrait.csv")
+    # row i*ny + j is the point (xs1[i], xs2[j]); each grid value is
+    # formatted once, "%.17g" being _fmt's format, and each x1 grid line
+    # is written as one string
+    col2 = ["%.17g" % v for v in xs2.tolist()]
+    grid_lines = zip(
+        ["%.17g" % v for v in xs1.tolist()],
+        *(a.reshape(nx, ny).tolist() for a in (d1, d2, sign, region)))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("x1,x2,dx1,dx2,R_sign,region\n")
-        for *row, s, r in zip(u1.tolist(), u2.tolist(), d1.tolist(),
-                              d2.tolist(), sign.tolist(), region.tolist()):
-            fh.write(",".join([*map(_fmt, row), s, r]) + "\n")
+        for x1, *line in grid_lines:
+            row = x1 + ",%s,%.17g,%.17g,%s,%s\n"
+            fh.write("".join([row % cells for cells in zip(col2, *line)]))
     _write_json(os.path.join(args.out, f"{slug}_portrait_lines.json"), lines)
     print(f"portrait written to {path}")
     return EXIT_OK
