@@ -94,34 +94,29 @@ def regime_of(coeffs: Coefficients, einstein: EinsteinSet,
     """
     if not y0 > 0:
         raise ValueError(f"y0 must be positive, got {y0}")
-    (regime,) = _regimes(einstein, [y0])
-    if regime.family == "fixed":
+    below, on = einstein.locate(y0)
+    if on >= 0:
         raise OnEinsteinRoot(f"y0 = {y0} sits on the fixed direction "
-                             f"{einstein.values[regime.subcase - 1]}")
-    return regime
+                             f"{einstein.values[on]}")
+    return slot_regimes(einstein)[below]
 
 
-def _regimes(einstein: EinsteinSet, y0s) -> list[RegimeLabel]:
-    """The regime of each start: its interval between the sorted roots, or
-    ``fixed`` and the 1-based index of the root it sits on."""
-    family = einstein.case_label
-    # case e numbers its intervals 4..6 when the double root is the lower
-    single_below = einstein.roots[0][1] == 1 if family == "e" else None
-    shift = 3 if single_below is False else 0
-    below, on = einstein.locate(y0s)
-    out = []
-    # sub is the 1-based index of the interval between sorted roots
-    for sub, k in zip((below + 1).tolist(), on.tolist()):
-        if k >= 0:
-            out.append(RegimeLabel("fixed", k + 1))
-        elif family in ("c", "f"):
-            out.append(RegimeLabel(family))
-        elif family == "C0":
-            out.append(RegimeLabel("C0", "below" if sub == 1 else "above"))
-        else:
-            out.append(RegimeLabel(family, sub + shift,
-                                   single_below_double=single_below))
-    return out
+def slot_regimes(einstein: EinsteinSet) -> list[RegimeLabel]:
+    """The regime of each slot of ``YFlow.locate``: an interval between the
+    sorted roots, or ``fixed`` and the 1-based index of a root."""
+    family, n = einstein.case_label, einstein.count_distinct
+    if family in ("c", "f"):
+        moving = [RegimeLabel(family)] * (n + 1)
+    elif family == "C0":
+        moving = [RegimeLabel("C0", "below"), RegimeLabel("C0", "above")]
+    else:
+        # case e numbers its intervals 4..6 when the double root is lower
+        single_below = einstein.roots[0][1] == 1 if family == "e" else None
+        shift = 3 if single_below is False else 0
+        moving = [RegimeLabel(family, sub + shift,
+                              single_below_double=single_below)
+                  for sub in range(1, n + 2)]
+    return moving + [RegimeLabel("fixed", k + 1) for k in range(n)]
 
 
 def _shrink_outcome(coeffs: Coefficients) -> Outcome:
@@ -201,24 +196,30 @@ def classify_starts(engine: YFlow, y0s, *,
     of ``engine``, one per start and its regime, with every verdict and T
     from the closed form along y.  ``backward=False`` leaves the ancient
     fields unset."""
-    ends = engine.run(y0s)
+    return classify_slots(engine, *engine.locate(y0s), backward=backward)
+
+
+def classify_slots(engine: YFlow, y0, slot, *,
+                   backward: bool = True) -> list[BehaviorReport]:
+    """``classify_starts`` of what ``engine.locate`` returned."""
+    ends = engine.ends_at(y0, slot)
+    regimes = slot_regimes(engine.es)
     shrink = _shrink_outcome(engine.c)
     t1, t2 = SingularType.TYPE_I, SingularType.TYPE_II
     reports = []
-    for i, regime in enumerate(_regimes(engine.es, y0s)):
-        ancient = bool(ends.ancient[i]) if backward else None
+    # the fields of Ends, in order, as Python values
+    for k, y_fwd, shrinks, one, ancient, ancient_one, y_bwd, T in zip(
+            slot.tolist(), *(v.tolist() for v in vars(ends).values())):
+        ancient = ancient if backward else None
         reports.append(BehaviorReport(
-            regime=regime,
-            forward_outcome=(shrink if ends.shrinks[i]
-                             else Outcome.FIBER_COLLAPSE),
-            singular_type=t1 if ends.type_one[i] else t2,
-            forward_y_limit=float(ends.y_forward[i]),
+            regime=regimes[k],
+            forward_outcome=shrink if shrinks else Outcome.FIBER_COLLAPSE,
+            singular_type=t1 if one else t2,
+            forward_y_limit=y_fwd,
             ancient_exists=ancient,
-            ancient_type=((t1 if ends.ancient_type_one[i] else t2)
-                          if ancient else None),
-            backward_y_limit=(float(ends.y_backward[i]) if ancient
-                              else None),
-            T_estimate=float(ends.T[i]),
+            ancient_type=(t1 if ancient_one else t2) if ancient else None,
+            backward_y_limit=y_bwd if ancient else None,
+            T_estimate=T,
         ))
     return reports
 

@@ -26,7 +26,7 @@ from . import __version__
 # classification layer boundaries
 from .blowup import limit_at, soliton_limit  # noqa: F401
 from .classify import (  # noqa: F401
-    classify_starts,
+    classify_slots,
     classify_trajectory,
     predicted_report,
     regime_of,
@@ -155,8 +155,7 @@ def _within_horizon(T_estimate: float, x2: float, horizon: float) -> None:
 
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +205,7 @@ def cmd_einstein(args) -> int:
         },
     }
     if c.planar.maximal:
-        cd = critical_directions(c)
+        cd = critical_directions(c, es)
         payload["critical_directions"] = [cd.y_tilde_1, cd.y_tilde_2]
     print(json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK
@@ -260,7 +259,7 @@ def cmd_portrait(args) -> int:
     }
     # the region of a point is the band of y = x1/x2 between these edges
     if coeffs.planar.maximal:
-        cd = critical_directions(coeffs)
+        cd = critical_directions(coeffs, es)
         edges = [cd.y_tilde_1, cd.y_tilde_2]
         lines["critical_directions"] = edges
         labels = np.array(["X1", "X2", "X3"])
@@ -329,35 +328,44 @@ def cmd_sweep(args) -> int:
 
 
 def _sweep_rows(engine: YFlow, y0s: list[float]) -> list[str]:
-    """The nine fields after the index of each start; a fixed direction
-    leaves all but y0 and the regime empty.  A row matches the case table
-    when every field of ``predicted_report`` agrees, limits to 1e-2; a
-    singular time that is not finite leaves the run undetermined."""
-    out = []
-    reps = classify_starts(engine, y0s)
-    for y0, rep in zip(y0s, reps):
-        if rep.regime.family == "fixed":
-            out.append(f"{_fmt(y0)},fixed" + "," * 7)
-            continue
-        if not math.isfinite(rep.T_estimate):
-            raise NotCollapsed(f"T = {rep.T_estimate} from y0 = {y0}")
-        pred = predicted_report(rep.regime, engine.es, engine.c)
-        matches = (
-            rep.forward_outcome is pred.outcome
-            and _near(rep.forward_y_limit, pred.forward_y_limit)
-            and rep.ancient_exists == pred.ancient_exists
-            and rep.ancient_type == pred.ancient_type
-            and _near(rep.backward_y_limit, pred.backward_y_limit)
-        )
-        out.append(",".join([
-            _fmt(y0), str(rep.regime), rep.forward_outcome.value,
-            _fmt(rep.T_estimate), str(rep.ancient_exists),
-            rep.ancient_type.value if rep.ancient_type else "",
-            _fmt(rep.forward_y_limit),
-            _fmt(rep.backward_y_limit) if rep.ancient_exists else "",
-            str(bool(matches)),
-        ]))
+    """The nine fields after the index of each start, all but y0 and T
+    formatted once per slot (``YFlow.locate``); a singular time that is
+    not finite leaves the run undetermined."""
+    y0, slot = engine.locate(y0s)
+    rows, out = {}, []
+    for v, k, rep in zip(y0s, slot.tolist(),
+                         classify_slots(engine, y0, slot)):
+        if k not in rows:
+            rows[k] = _sweep_row(engine, rep)
+        if rep.regime.family != "fixed" and not math.isfinite(rep.T_estimate):
+            raise NotCollapsed(f"T = {rep.T_estimate} from y0 = {v}")
+        out.append(rows[k].format(_fmt(v), _fmt(rep.T_estimate)))
     return out
+
+
+def _sweep_row(engine: YFlow, rep) -> str:
+    """The row of the report's slot, with {0} for y0 and {1} for T; a
+    fixed direction leaves all but y0 and the regime empty.  A row
+    matches the case table when every field of ``predicted_report``
+    agrees, limits to 1e-2."""
+    if rep.regime.family == "fixed":
+        return "{0},fixed" + "," * 7
+    pred = predicted_report(rep.regime, engine.es, engine.c)
+    matches = (
+        rep.forward_outcome is pred.outcome
+        and _near(rep.forward_y_limit, pred.forward_y_limit)
+        and rep.ancient_exists == pred.ancient_exists
+        and rep.ancient_type == pred.ancient_type
+        and _near(rep.backward_y_limit, pred.backward_y_limit)
+    )
+    return ",".join([
+        "{0}", str(rep.regime), rep.forward_outcome.value, "{1}",
+        str(rep.ancient_exists),
+        rep.ancient_type.value if rep.ancient_type else "",
+        _fmt(rep.forward_y_limit),
+        _fmt(rep.backward_y_limit) if rep.ancient_exists else "",
+        str(bool(matches)),
+    ])
 
 
 def _near(got: float | None, want: float | None) -> bool:

@@ -129,12 +129,14 @@ def einstein_scale_constants(c: Coefficients, root: float) -> tuple[float, float
     return (k1, k2)
 
 
-def critical_directions(c: MaxCoeffs) -> CriticalDirections:
+def critical_directions(c: MaxCoeffs,
+                        es: EinsteinSet | None = None) -> CriticalDirections:
     """Positive zeros of the sign cubics g1 = y*f1(y) and g2 = y^2*f2(y).
 
     g1(0) = B1 > 0 and g1 is strictly decreasing, g2(0) = -C2 < 0 and g2 has
-    a single positive zero; every Einstein root lies strictly between them.
-    A non-maximal record has no such wedge and is refused.
+    a single positive zero; every Einstein root (of ``es``, by default
+    ``einstein_roots(c)``) lies strictly between them.  A non-maximal
+    record has no such wedge and is refused.
     """
     p = c.planar
     if not p.maximal:
@@ -145,7 +147,7 @@ def critical_directions(c: MaxCoeffs) -> CriticalDirections:
     y2 = rt.hybrid_root(g2, 0.0, rt.root_bound(g2))
     if not y1 < y2:
         raise AssertionError(f"critical directions out of order: {y1} >= {y2}")
-    for r, _ in einstein_roots(c).roots:
+    for r in (es or einstein_roots(c)).values:
         if not (y1 < r < y2):
             raise AssertionError(f"Einstein root {r} outside ({y1}, {y2})")
     return CriticalDirections(y_tilde_1=y1, y_tilde_2=y2)

@@ -22,10 +22,11 @@ exponents, with no threshold on x or t:
 - the singular time T is the convergent integral of x2/|H| from y0 to y*,
   computed by tanh-sinh quadrature (Takahasi and Mori, 1974) with the
   distance to y* kept exact, the level doubled until two levels agree.
-  Per chunk of starts, what does not depend on the node is computed once,
-  one pass evaluates levels FIRST_LEVEL to JOINT_LEVEL (3 to 5) together
-  and each later level takes a pass of its own over the starts not yet
-  converged; each level is still summed on its own nodes and starts.
+
+Every verdict but T depends on a start's slot alone: the interval between
+Einstein directions it moves in, or the direction it sits on.  Each slot's
+verdicts are decided once per space, when the engine is built; a call
+locates its starts once, looks their verdicts up and computes T per start.
 
 Only numpy and scalar arithmetic are used: the complex pair comes from
 deflating the known real zeros, never from an eigenvalue solver.
@@ -171,6 +172,49 @@ class YFlow:
         self.c = c
         self.es = es
 
+        # every verdict depends on the slot of a start alone (see
+        # ``locate``), so each slot's row is decided here, in plain floats
+        z, h, a, b = (v.tolist() for v in (self.z, self.h, self.a, self.b))
+        n = len(z)
+
+        def slot_row(fwd, move):
+            zf, hf, af, bf = z[fwd], h[fwd], a[fwd], b[fwd]
+            fixed, bwd = move == 0, fwd - move
+            if bwd < n:
+                ancient = fixed or (b[bwd] * move < 0.0 if b[bwd] != 0.0
+                                    else a[bwd] - h[bwd] <= -1.0)
+                y_bwd = z[bwd]
+            else:
+                ancient, y_bwd = self.a_inf >= 1.0, math.inf
+            # x2 ~ d^a at a simple zero of H where a < 1: the quadrature
+            # of T maps d = L*w**(1/gamma)
+            gamma = af if hf == 1 and bf == 0.0 and af < 1.0 else 1.0
+            # fwd and move, the fields of Ends but T (y_forward, shrinks,
+            # type_one, ancient, ancient_type_one, y_backward), then the
+            # constants of T at the forward end
+            return (fwd, move, zf, fixed or zf > 0.0 and (
+                        bf * move < 0.0 if bf != 0.0 else af > 0.0),
+                    fixed or zf > 0.0 or hf == 0, ancient,
+                    ancient and 0.0 < y_bwd < math.inf, y_bwd,
+                    gamma, (af - gamma) + (1.0 - hf), bf,
+                    float(np.log(gamma)) if gamma > 0.0 else math.nan)
+
+        # H < 0 for large y and changes sign at each root of odd order, so
+        # it is positive where an odd number of them lie above y0; y moves
+        # up to the next point while H > 0, else down to z[below].  A start
+        # on an Einstein direction stays there: a homothety
+        rising = [sum(m % 2 for m in h[k + 1:]) % 2 for k in range(n)]
+        cols = list(zip(*[slot_row(k + up, 2 * up - 1)
+                          for k, up in enumerate(rising)],
+                        *[slot_row(k + 1, 0) for k in range(n - 1)]))
+        self._fwd, self._move = np.array(cols[0]), np.array(cols[1])
+        # the fields of Ends but T, in order
+        self._verdicts = {name: np.array(col) for name, col in
+                          zip(Ends.__dataclass_fields__, cols[2:8])}
+        # per slot: gamma, (a - gamma) + (1 - h), b and ln gamma at the
+        # forward end, the constants of T that depend on it alone
+        self._forward_consts = np.array(cols[8:]).T
+
     def log_x2(self, y):
         """Phi(y), the integral of f2/H up to a constant, so that
         exp(Phi(y))/x2 is conserved: the sum over z of a*ln|y - z| - b/(y - z)
@@ -187,6 +231,16 @@ class YFlow:
 
     # -- per start ---------------------------------------------------------
 
+    def locate(self, y0s):
+        """The starts as a flat array and the slot of each, which fixes
+        every verdict but T: from one ``EinsteinSet.locate``, the number k
+        of Einstein directions at or below it, or len(z) + k on the k-th."""
+        y0 = np.asarray(y0s, dtype=float).ravel()
+        if not np.all(y0 > 0.0):
+            raise ValueError("starting ratios must be positive")
+        below, on = self.es.locate(y0)
+        return y0, np.where(on >= 0, len(self.z) + on, below)
+
     def forward_end(self, y0s):
         """The forward end of the flows from (y0, 1), with no quadrature.
 
@@ -195,58 +249,30 @@ class YFlow:
         Einstein direction, which stays there) and whether the whole space
         shrinks at y* rather than the fiber alone.
         """
-        y0 = np.asarray(y0s, dtype=float).ravel()
-        if not np.all(y0 > 0.0):
-            raise ValueError("starting ratios must be positive")
-        z, a, b = self.z, self.a, self.b
-        below, on = self.es.locate(y0)
-        # H < 0 for large y and changes sign at each root of odd order, so
-        # it is positive where an odd number of them lie above y0
-        odd_above = np.cumsum((self.h[:0:-1] % 2 == 1))[::-1]
-        rising = np.append(odd_above, 0)[below] % 2 == 1
-        fixed = on >= 0
-        # z[below] is the highest point at or below y0; a start on an
-        # Einstein direction stays there: a homothety
-        fwd = np.where(fixed, on + 1, below + rising)
-        move = np.where(fixed, 0, np.where(rising, 1, -1))
-
-        x2_vanishes = np.where(b[fwd] != 0.0, b[fwd] * move < 0.0,
-                               a[fwd] > 0.0)
-        return fwd, move, fixed | ((z[fwd] > 0.0) & x2_vanishes)
+        _, slot = self.locate(y0s)
+        return (self._fwd[slot], self._move[slot],
+                self._verdicts["shrinks"][slot])
 
     def run(self, y0s) -> Ends:
         """Both ends and the singular time of the flows from (y0, 1)."""
-        y0 = np.asarray(y0s, dtype=float).ravel()
-        fwd, move, shrinks = self.forward_end(y0)
-        z, h, a, b = self.z, self.h, self.a, self.b
-        n_pts = len(z)
-        fixed = move == 0
-        bwd = fwd - move
-        zf = z[fwd]
-        type_one = fixed | (zf > 0.0) | (h[fwd] == 0)
+        return self.ends_at(*self.locate(y0s))
 
-        finite_b = bwd < n_pts
-        jb = np.minimum(bwd, n_pts - 1)
-        diverges = np.where(b[jb] != 0.0, b[jb] * move < 0.0,
-                            a[jb] - h[jb] <= -1.0)
-        ancient = fixed | np.where(finite_b, diverges, self.a_inf >= 1.0)
-        y_bwd = np.where(finite_b, z[jb], math.inf)
-        ancient_type_one = ancient & finite_b & (y_bwd > 0.0)
-
+    def ends_at(self, y0: np.ndarray, slot: np.ndarray) -> Ends:
+        """``run`` of what ``locate`` returned: T per start, all else by slot."""
+        ends = {name: v[slot] for name, v in self._verdicts.items()}
+        move = self._move[slot]
         T = np.empty(len(y0))
+        fixed = move == 0
         if np.any(fixed):
-            zr = zf[fixed]
+            zr = ends["y_forward"][fixed]
             T[fixed] = -zr * zr / eval_poly(self.y2f2, zr)
-        moving = np.nonzero(~fixed)[0]
+        moving = np.nonzero(move)[0]
         for lo in range(0, len(moving), CHUNK):
             rows = moving[lo:lo + CHUNK]
-            T[rows] = self._singular_time(y0[rows], fwd[rows], move[rows])
-        return Ends(y_forward=zf, shrinks=shrinks, type_one=type_one,
-                    ancient=ancient, ancient_type_one=ancient_type_one,
-                    y_backward=y_bwd, T=T)
+            T[rows] = self._singular_time(y0[rows], slot[rows])
+        return Ends(**ends, T=T)
 
-    def _singular_time(self, y0: np.ndarray, fwd: np.ndarray,
-                       move: np.ndarray) -> np.ndarray:
+    def _singular_time(self, y0: np.ndarray, slot: np.ndarray) -> np.ndarray:
         """T = integral of x2/|H| over y from y0 to the forward end.
 
         With d the distance from the end z*, L = |y0 - z*| and the
@@ -257,28 +283,29 @@ class YFlow:
         LAST_LEVEL keeps its finest estimate.
 
         What does not depend on the node is computed once for the starts
-        given.  One pass evaluates the nodes of levels FIRST_LEVEL to
-        JOINT_LEVEL together, since nearly every start needs them all;
-        each later level is a pass of its own over the starts whose levels
-        have not yet agreed.  Each level's sum is taken over its own nodes
-        and the same starts either way, so T does not depend on how the
-        levels are grouped into passes.
+        given (once per slot for their forward ends).  One pass evaluates
+        the nodes of levels FIRST_LEVEL to JOINT_LEVEL together, since
+        nearly every start needs them all; each later level is a pass of
+        its own over the starts whose levels have not yet agreed.  Each
+        level's sum is taken over its own nodes and the same starts either
+        way, so T does not depend on how the levels are grouped into
+        passes.
         """
-        z, h, a, b = self.z, self.h, self.a, self.b
-        zs, hs, as_, bs = z[fwd], h[fwd], a[fwd], b[fwd]
-        L = np.abs(y0 - zs)
-        gamma = np.where((hs == 1) & (bs == 0.0) & (as_ < 1.0), as_, 1.0)
+        fwd = self._fwd[slot]
+        gamma, k_ld, bs, ln_gamma = self._forward_consts[slot].T
         if not np.all(gamma > 0.0):
             raise SpaceModelError(
                 "x2 does not vanish at a simple forward end")
+        zs = self.z[fwd]
+        L = np.abs(y0 - zs)
         lnH0 = math.log(-self.lead) + np.log(self._quad(y0))
+        z, h, a, b = self.z, self.h, self.a, self.b
         for j in np.nonzero(h)[0]:
             lnH0 = lnH0 + h[j] * np.log(np.abs(y0 - z[j]))
-        s = -move
+        s = -self._move[slot]
         # one row per constant and one column per start, in the order
         # _log_integrand reads them
-        cols = [gamma, (as_ - gamma) + (1.0 - hs), bs,
-                np.log(L) - np.log(gamma) - lnH0, s * L]
+        cols = [gamma, k_ld, bs, np.log(L) - ln_gamma - lnH0, s * L]
         masks, points = [], []
         for j in np.nonzero((a != 0.0) | (b != 0.0) | (h != 0))[0]:
             skip = fwd == j
@@ -302,16 +329,17 @@ class YFlow:
         total = np.zeros(len(y0))
         active = np.arange(len(y0))
         with np.errstate(divide="ignore", invalid="ignore"):
-            joint_lw, starts = _joint_nodes()
-            joint = np.exp(self._log_integrand(joint_lw, points, cols, masks))
+            *joint_nodes, starts = _joint_nodes()
+            joint = np.exp(self._log_integrand(joint_nodes, points, cols,
+                                               masks))
             for level in range(FIRST_LEVEL, LAST_LEVEL + 1):
-                lw, wt = _nodes(level)
+                *nodes, wt = _nodes(level)
                 if level <= JOINT_LEVEL:
                     lo = starts[level - FIRST_LEVEL]
                     E = joint[active, lo:lo + len(wt)]
                 else:
                     E = np.exp(self._log_integrand(
-                        lw, points, cols[:, active], masks[:, active]))
+                        nodes, points, cols[:, active], masks[:, active]))
                 total[active] += E @ wt
                 est = total[active] * 2.0 ** -level
                 done = (np.abs(est - T[active]) <= QUAD_RTOL * np.abs(est)
@@ -329,17 +357,19 @@ class YFlow:
             return np.ones_like(y)
         return (y - self.pair.real) ** 2 + self.pair.imag ** 2
 
-    def _log_integrand(self, lw, points, cols, masks):
-        """Log of the integrand at the nodes ln w (columns) for each start
-        (rows), from the constants ``_singular_time`` computed for those
-        starts: the rows of ``cols`` and ``masks``, read in the order they
-        were written, and per point of ``points`` its coefficients, the
-        side of the starts it lies on and whether it ends some of them."""
+    def _log_integrand(self, nodes, points, cols, masks):
+        """Log of the integrand at the nodes ln w, w, 1 - w (columns) for
+        each start (rows), from the constants ``_singular_time`` computed:
+        the rows of ``cols`` and ``masks``, read in the order they were
+        written, and per point of ``points`` its coefficients, the side of
+        the starts it lies on and whether it ends some of them."""
         gamma, k_ld, bs, const, sL = cols[:5, :, None]
         col, mask = iter(cols[5:, :, None]), iter(masks[:, :, None])
-        ld = lw / gamma                              # ln(d / L)
-        one_u = -np.expm1(ld)                        # 1 - d / L
-        sd = sL * np.exp(ld)                         # y - zs
+        ld, d_L, one_u = nodes          # ln(d / L), d / L, 1 - d / L
+        if not np.all(gamma == 1.0):    # else d = L*w, exactly the nodes'
+            ld = ld / gamma
+            d_L, one_u = np.exp(ld), -np.expm1(ld)
+        sd = sL * d_L                                # y - zs
         delta = -sL * one_u                          # y - y0
         out = const + k_ld * ld
         if np.any(bs != 0.0):
@@ -377,9 +407,10 @@ class YFlow:
 
 @functools.cache
 def _nodes(level: int):
-    """ln w and the trapezoid weights (without the step) of the nodes a
-    tanh-sinh rule of step 2**-level adds to the coarser levels, for the
-    map w = 1/(1 + exp(pi*sinh(t))) of the real line onto (0, 1)."""
+    """ln w, w, 1 - w (as -expm1(ln w)) and the trapezoid weights (without
+    the step) of the nodes a tanh-sinh rule of step 2**-level adds to the
+    coarser levels, for the map w = 1/(1 + exp(pi*sinh(t))) of the real
+    line onto (0, 1)."""
     h = 2.0 ** -level
     k = np.arange(-round(T_MAX / h), round(T_MAX / h) + 1)
     if level > FIRST_LEVEL:
@@ -387,12 +418,14 @@ def _nodes(level: int):
     t = k * h
     e = np.pi * np.sinh(t)
     lw = -np.logaddexp(0.0, e)                      # ln w, exact at both ends
-    return lw, np.pi * np.cosh(t) * np.exp(lw) / (1.0 + np.exp(-e))
+    return (lw, np.exp(lw), -np.expm1(lw),
+            np.pi * np.cosh(t) * np.exp(lw) / (1.0 + np.exp(-e)))
 
 
 @functools.cache
 def _joint_nodes():
-    """ln w of the nodes of levels FIRST_LEVEL to JOINT_LEVEL side by side,
-    and the column at which each level's nodes start."""
-    lws = [_nodes(level)[0] for level in range(FIRST_LEVEL, JOINT_LEVEL + 1)]
-    return np.concatenate(lws), np.cumsum([0] + [len(v) for v in lws])
+    """ln w, w and 1 - w of the nodes of levels FIRST_LEVEL to JOINT_LEVEL
+    side by side, and the column at which each level's nodes start."""
+    levels = [_nodes(level) for level in range(FIRST_LEVEL, JOINT_LEVEL + 1)]
+    return (*(np.concatenate(v) for v in list(zip(*levels))[:3]),
+            np.cumsum([0] + [len(v[0]) for v in levels]))

@@ -193,3 +193,88 @@ def per_cell_csv(traj) -> str:
         cells.append("" if math.isnan(lam) else format(lam, ".17g"))
         lines.append(",".join(cells) + "\n")
     return "".join(lines)
+
+
+def per_start_verdicts(engine, y0s) -> dict:
+    """Every verdict of ``YFlow.forward_end`` and ``YFlow.run`` decided
+    start by start from the engine's points ``z``, orders ``h`` and
+    coefficients ``a``, ``b`` and ``a_inf``: the per-start formulas the
+    engine used before it decided each interval once per space."""
+    y0 = np.asarray(y0s, dtype=float).ravel()
+    z, h, a, b = engine.z, engine.h, engine.a, engine.b
+    below, on = engine.es.locate(y0)
+    # H < 0 for large y and changes sign at each root of odd order, so it
+    # is positive where an odd number of them lie above y0
+    odd_above = np.cumsum((h[:0:-1] % 2 == 1))[::-1]
+    rising = np.append(odd_above, 0)[below] % 2 == 1
+    fixed = on >= 0
+    fwd = np.where(fixed, on + 1, below + rising)
+    move = np.where(fixed, 0, np.where(rising, 1, -1))
+    x2_vanishes = np.where(b[fwd] != 0.0, b[fwd] * move < 0.0, a[fwd] > 0.0)
+    shrinks = fixed | ((z[fwd] > 0.0) & x2_vanishes)
+
+    n_pts = len(z)
+    bwd = fwd - move
+    zf = z[fwd]
+    finite_b = bwd < n_pts
+    jb = np.minimum(bwd, n_pts - 1)
+    diverges = np.where(b[jb] != 0.0, b[jb] * move < 0.0,
+                        a[jb] - h[jb] <= -1.0)
+    ancient = fixed | np.where(finite_b, diverges, engine.a_inf >= 1.0)
+    y_bwd = np.where(finite_b, z[jb], math.inf)
+    return {
+        "fwd": fwd, "move": move, "shrinks": shrinks, "y_forward": zf,
+        "type_one": fixed | (zf > 0.0) | (h[fwd] == 0),
+        "ancient": ancient,
+        "ancient_type_one": ancient & finite_b & (y_bwd > 0.0),
+        "y_backward": y_bwd,
+    }
+
+
+def per_start_sweep_rows(engine, y0s: list[float], chunk: int) -> list[str]:
+    """The rows of ``hrflow sweep`` over ``y0s``, index included, each
+    built on its own: the verdicts from ``YFlow.run`` on the starts in
+    batches of ``chunk`` as the command runs them, the regime from
+    ``regime_of`` (a start on an Einstein direction gives a ``fixed`` row),
+    the match from ``predicted_report`` and every number from
+    format(v, ".17g")."""
+    from hrflow.classify import predicted_report, regime_of
+    from hrflow.errors import OnEinsteinRoot
+
+    def fmt(v):
+        return format(float(v), ".17g")
+
+    def near(got, want):
+        if got is None or want is None:
+            return got is want
+        return abs(got - want) <= 1e-2 * (1 + abs(want))
+
+    shrink = ("SimultaneousCollapse" if engine.c.planar.maximal
+              else "ShrinkToPoint")
+    rows = []
+    for lo in range(0, len(y0s), chunk):
+        ends = engine.run(y0s[lo:lo + chunk])
+        for i, y0 in enumerate(y0s[lo:lo + chunk]):
+            try:
+                regime = regime_of(engine.c, engine.es, None, y0)
+            except OnEinsteinRoot:
+                rows.append(f"{lo + i},{fmt(y0)},fixed" + "," * 7)
+                continue
+            outcome = shrink if ends.shrinks[i] else "FiberCollapse"
+            ancient = bool(ends.ancient[i])
+            kind = ("TypeI" if ends.ancient_type_one[i] else "TypeII") \
+                if ancient else ""
+            y_fwd = float(ends.y_forward[i])
+            y_bwd = float(ends.y_backward[i]) if ancient else None
+            pred = predicted_report(regime, engine.es, engine.c)
+            matches = (outcome == pred.outcome.value
+                       and near(y_fwd, pred.forward_y_limit)
+                       and ancient == pred.ancient_exists
+                       and kind == ("" if pred.ancient_type is None
+                                    else pred.ancient_type.value)
+                       and near(y_bwd, pred.backward_y_limit))
+            rows.append(",".join([
+                str(lo + i), fmt(y0), str(regime), outcome, fmt(ends.T[i]),
+                str(ancient), kind, fmt(y_fwd),
+                "" if y_bwd is None else fmt(y_bwd), str(matches)]))
+    return rows

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import shlex
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,11 +14,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hrflow as h
-from hrflow import cli, stepper
+from hrflow import cli, einstein, stepper
 from hrflow.cli import main
 from hrflow.flow import make_rhs
 from hrflow.yflow import YFlow
 
+from oracles import per_start_sweep_rows
 from randspaces import (
     random_maximal_space,
     random_nonmaximal_space,
@@ -268,6 +270,49 @@ def test_sweep_matches_predictions(tmp_path):
     assert not mismatched
 
 
+
+def _sweep_starts(mode: str, lo: float, hi: float, count: int,
+                  seed: int) -> list[float]:
+    """The starts of a sweep, drawn as cmd_sweep draws them."""
+    if mode == "grid":
+        return np.geomspace(lo, hi, count).tolist() if count > 1 else [lo]
+    rng = np.random.default_rng(seed)
+    return np.exp(rng.uniform(np.log(lo), np.log(hi), count)).tolist()
+
+
+def test_sweep_rows_start_by_start(tmp_path):
+    # every row of grid and random sweeps equals the one the oracle builds
+    # start by start, byte for byte; the grids from the lowest to the top
+    # Einstein direction give fixed rows, and one sweep spans chunks
+    fixed = 0
+    for k, name in enumerate(SWEEP_FIXTURES):
+        c = h.derive_coeffs(h.get_space(name))
+        engine = YFlow(c, h.einstein_roots(c))
+        roots = engine.es.values
+        runs = [("random", 0.05, 20.0, 40, k), ("grid", 0.05, 20.0, 31, 0),
+                ("grid", 0.3, 0.3, 1, 0)]
+        if roots:
+            runs += [("grid", roots[0], 2.0 * roots[-1], 9, 0),
+                     ("grid", 0.5 * roots[0], roots[-1], 7, 0)]
+        if k == 0:
+            runs.append(("random", 0.01, 100.0, cli.SWEEP_CHUNK + 40, 3))
+        for mode, lo, hi, count, seed in runs:
+            out = tmp_path / f"{name}-{mode}-{count}-{lo!r}"
+            y0_range = f"{lo!r},{hi!r}" if lo < hi else f"{lo!r},{2 * lo!r}"
+            assert run_cli("sweep", "--space", name, "--mode", mode,
+                           "--count", str(count), "--seed", str(seed),
+                           "--y0-range", y0_range, "--out", str(out)) == 0
+            header, *rows = (out / f"{name}_sweep.csv").read_text().split(
+                "\n")
+            assert rows.pop() == ""
+            want = per_start_sweep_rows(
+                engine, _sweep_starts(mode, lo, hi, count, seed),
+                cli.SWEEP_CHUNK)
+            assert rows == want, (name, mode, lo, hi, count)
+            fixed += sum(",fixed," in row for row in rows)
+    assert fixed >= 20
+
+
 @pytest.mark.parametrize("y0_range", ["abc", "1", "1,2,3", "2,1", "0.1,inf"])
 def test_sweep_malformed_range_is_invalid_input(tmp_path, y0_range):
     assert run_cli("sweep", "--space", "FIX-A", "--y0-range", y0_range,
@@ -419,6 +464,40 @@ def test_sweep_sets_up_one_engine(monkeypatch, tmp_path):
                    str(3 * cli.SWEEP_CHUNK), "--out", str(tmp_path)) == 0
     assert len(built) == 1
 
+
+
+@pytest.mark.parametrize("argv,engines", [
+    (("einstein", "--space", "FIX-D"), 0),
+    (("einstein", "--space", "FIX-A"), 0),
+    (("portrait", "--space", "FIX-D", "--grid", "3x3"), 0),
+    (("portrait", "--space", "FIX-B", "--grid", "3x3"), 0),
+    (("flow", "--space", "FIX-D", "--y0", "0.75", "--backward"), 1),
+    (("flow", "--space", "FIX-A", "--y0", "0.75"), 1),
+    (("sweep", "--space", "FIX-D", "--count", "5"), 1),
+    (("blowup", "--space", "FIX-F", "--y0", "0.75"), 1),
+], ids=lambda v: "-".join(v) if isinstance(v, tuple) else str(v))
+def test_each_command_isolates_the_roots_once(monkeypatch, tmp_path, argv,
+                                              engines):
+    # one einstein_roots per call, wherever it is looked up, and at most
+    # one engine
+    calls = []
+    real_roots, real_init = einstein.einstein_roots, YFlow.__init__
+
+    def roots(*args):
+        calls.append("roots")
+        return real_roots(*args)
+
+    def init(self, *args):
+        calls.append("engine")
+        real_init(self, *args)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").split(".")[0] == "hrflow" and \
+                getattr(module, "einstein_roots", None) is real_roots:
+            monkeypatch.setattr(module, "einstein_roots", roots)
+    monkeypatch.setattr(YFlow, "__init__", init)
+    assert run_cli(*argv, "--out", str(tmp_path)) == 0
+    assert (calls.count("roots"), calls.count("engine")) == (1, engines)
 
 def test_blowup_limit_near_repelling_root(tmp_path, capsys):
     # regime d3: y leaves the repelling root 1 and approaches 2 only like

@@ -17,7 +17,11 @@ from hrflow.classify import classify_starts
 from hrflow.flow import MetricState
 from hrflow.yflow import YFlow
 
-from oracles import dop853_singular_time, log_distance_singular_time
+from oracles import (
+    dop853_singular_time,
+    log_distance_singular_time,
+    per_start_verdicts,
+)
 from randspaces import (
     c0_boundary_starts,
     random_maximal_space,
@@ -55,6 +59,48 @@ def _fixtures_and_draws():
         yield c, es
     for c, es, _ in c0_boundary_starts(13, 60):
         yield c, es
+
+
+def _starts_everywhere(es) -> list[float]:
+    """Starts in every interval between y = 0, the Einstein directions and
+    twice the top one plus one, far out on both sides, on every direction,
+    just off it within the root exclusion and just outside it."""
+    edges = [0.0, *es.values, 2.0 * max(es.values, default=0.5) + 1.0]
+    y0s = [0.5 * (lo + hi) for lo, hi in zip(edges, edges[1:])]
+    y0s += [1e-6, 1e8]
+    for r in es.values:
+        y0s += [r, r * (1.0 + 5e-10), r * (1.0 - 5e-10), r * (1.0 + 2e-8),
+                r * (1.0 - 2e-8)]
+    return y0s
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_verdicts_against_per_start_oracle():
+    # every verdict field of forward_end and run equals the per-start
+    # formulas, dtype included, on starts in every interval and on every
+    # Einstein direction of the fixtures and the seeded draws.  T is not
+    # compared: on an Einstein direction below about 1e-162, r*r
+    # underflows and T is 0/0
+    fixtures = [h.derive_coeffs(h.get_space(name)) for name in FIXTURES]
+    cases = [(c, h.einstein_roots(c), []) for c in fixtures]
+    cases += [(c, es, [y0]) for c, es, y0 in random_starts(19, 120)]
+    cases += list(c0_boundary_starts(19, 40))
+    fixed = moving = 0
+    for c, es, y0s in cases:
+        engine = YFlow(c, es)
+        y0s = [*y0s, *_starts_everywhere(es)]
+        want = per_start_verdicts(engine, y0s)
+        ends = engine.run(y0s)
+        got = dict(zip(("fwd", "move", "shrinks"), engine.forward_end(y0s)))
+        got |= {f.name: getattr(ends, f.name)
+                for f in dataclasses.fields(ends) if f.name != "T"}
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            assert got[key].dtype == value.dtype, (key, es)
+            assert np.array_equal(got[key], value), (key, es, y0s)
+        fixed += int((want["move"] == 0).sum())
+        moving += int((want["move"] != 0).sum())
+    assert fixed > 300 and moving > 1000
 
 
 def test_engine_takes_zeros_of_h_from_einstein_set():
