@@ -153,9 +153,19 @@ def _within_horizon(T_estimate: float, x2: float, horizon: float) -> None:
                            f"not within the horizon {horizon}")
 
 
-def _write_json(path: str, payload: dict) -> None:
+def _write_json(path: str, payload: dict) -> str:
+    """Write the payload as indented JSON; return the text written."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        fh.write(text)
+    return text
+
+
+def _make_dir(path: str) -> None:
+    """Create the output directory unless it is already there; a file in
+    its place still fails in ``makedirs``."""
+    if not os.path.isdir(path):
+        os.makedirs(path, exist_ok=True)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +225,7 @@ def cmd_flow(args) -> int:
     space, coeffs = _two_summand(args.space)
     init = _initial_state(args)
     horizon = _options_from(args, Direction.FORWARD).max_time
-    os.makedirs(args.out, exist_ok=True)
+    _make_dir(args.out)
     slug = _slug(space, args)
     # one closed-form engine serves both runs and the report
     engine = YFlow(coeffs, einstein_roots(coeffs))
@@ -262,11 +272,11 @@ def cmd_portrait(args) -> int:
         cd = critical_directions(coeffs, es)
         edges = [cd.y_tilde_1, cd.y_tilde_2]
         lines["critical_directions"] = edges
-        labels = np.array(["X1", "X2", "X3"])
+        labels = ["X1", "X2", "X3"]
     else:
         edges = [coeffs.planar.b0 / coeffs.planar.b1]
         lines["stationary_x2_ray"] = edges[0]
-        labels = np.array(["below_DB", "above_DB"])
+        labels = ["below_DB", "above_DB"]
 
     # looked up in flow at call time: perfbench/tracing.py patches it there
     from .flow import _scalar_curvature_arrays
@@ -281,22 +291,25 @@ def cmd_portrait(args) -> int:
         raise SpaceModelError(
             "the field or the scalar curvature overflows on this grid; "
             "narrow --x1-range or --x2-range")
-    sign = np.where(R == 0.0, "0", np.where(R > 0, "+", "-"))
-    region = labels[np.searchsorted(edges, u1 / u2, side="right")]
-    os.makedirs(args.out, exist_ok=True)
+    # the tail ",<R_sign>,<region>\n" of a point is tails[3*region + sign + 1]
+    tails = np.array([f",{s},{r}\n" for r in labels for s in "-0+"], object)
+    tail = tails[3 * np.searchsorted(edges, u1 / u2, side="right")
+                 + np.sign(R).astype(np.intp) + 1]
+    _make_dir(args.out)
     path = os.path.join(args.out, f"{slug}_portrait.csv")
     # row i*ny + j is the point (xs1[i], xs2[j]); each grid value is
-    # formatted once, "%.17g" being _fmt's format, and each x1 grid line
-    # is written as one string
-    col2 = ["%.17g" % v for v in xs2.tolist()]
-    grid_lines = zip(
-        ["%.17g" % v for v in xs1.tolist()],
-        *(a.reshape(nx, ny).tolist() for a in (d1, d2, sign, region)))
+    # formatted once, "%.17g" being _fmt's format.  An x1 grid line is
+    # the x1 string joined into the per-call x2 template, filled with the
+    # line's dx1, dx2 and tails, and written as one string
+    x2_parts = [",%.17g" % v + ",%.17g,%.17g%s" for v in xs2.tolist()]
+    cells = [None] * (3 * ny)
+    grid_lines = zip(["%.17g" % v for v in xs1.tolist()],
+                     *(a.reshape(nx, ny).tolist() for a in (d1, d2, tail)))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("x1,x2,dx1,dx2,R_sign,region\n")
         for x1, *line in grid_lines:
-            row = x1 + ",%s,%.17g,%.17g,%s,%s\n"
-            fh.write("".join([row % cells for cells in zip(col2, *line)]))
+            cells[0::3], cells[1::3], cells[2::3] = line
+            fh.write((x1 + x1.join(x2_parts)) % tuple(cells))
     _write_json(os.path.join(args.out, f"{slug}_portrait_lines.json"), lines)
     print(f"portrait written to {path}")
     return EXIT_OK
@@ -313,7 +326,7 @@ def cmd_sweep(args) -> int:
     else:
         rng = np.random.default_rng(args.seed)
         y0s = np.exp(rng.uniform(np.log(lo), np.log(hi), args.count))
-    os.makedirs(args.out, exist_ok=True)
+    _make_dir(args.out)
     path = os.path.join(args.out, f"{_slug(space, args)}_sweep.csv")
     header = ("index,y0,regime,outcome,T_estimate,ancient_exists,"
               "ancient_type,forward_y_limit,backward_y_limit,matches_prediction")
@@ -386,12 +399,12 @@ def cmd_blowup(args) -> int:
     T_estimate = init.x2 * float(ends.T[0])
     _within_horizon(T_estimate, init.x2, horizon)
     limit = limit_at(coeffs, ends.y_forward[0], bool(ends.shrinks[0]))
-    os.makedirs(args.out, exist_ok=True)
+    _make_dir(args.out)
     payload = limit.to_dict() | {"space": space.name,
                                  "T_estimate": T_estimate}
-    _write_json(os.path.join(args.out, f"{_slug(space, args)}_blowup.json"),
-                payload)
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    text = _write_json(
+        os.path.join(args.out, f"{_slug(space, args)}_blowup.json"), payload)
+    sys.stdout.write(text)
     return EXIT_OK
 
 

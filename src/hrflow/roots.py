@@ -23,7 +23,15 @@ RESIDUAL_RTOL = 1e-10
 
 
 def eval_poly(coeffs: tuple[float, ...], y: float) -> float:
-    """Horner evaluation; coeffs ordered highest degree first."""
+    """Horner evaluation; coeffs ordered highest degree first.  Cubics and
+    quadratics are written out: the loop's first step ``0.0*y + c`` is
+    ``c`` for finite y, so the arithmetic is the loop's."""
+    if len(coeffs) == 4:
+        c3, c2, c1, c0 = coeffs
+        return ((c3 * y + c2) * y + c1) * y + c0
+    if len(coeffs) == 3:
+        c2, c1, c0 = coeffs
+        return (c2 * y + c1) * y + c0
     acc = 0.0
     for c in coeffs:
         acc = acc * y + c
@@ -88,8 +96,10 @@ def _derivative(coeffs: tuple[float, ...]) -> tuple[float, ...]:
 
 
 def hybrid_root(coeffs: tuple[float, ...], lo: float, hi: float) -> float:
-    """Bisection to a tight bracket, then a short Newton polish."""
-    y = bisect_root(lambda t: eval_poly(coeffs, t), lo, hi)
+    """A cubic's root in [lo, hi]: bisection to a tight bracket, with
+    ``eval_poly``'s arithmetic written out, then a short Newton polish."""
+    c3, c2, c1, c0 = coeffs
+    y = bisect_root(lambda t: ((c3 * t + c2) * t + c1) * t + c0, lo, hi)
     return _newton_polish(coeffs, y, lo, hi)
 
 

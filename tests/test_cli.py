@@ -242,6 +242,52 @@ def test_portrait_rows_cell_by_cell(tmp_path):
             np.linspace(lo[1], hi[1], ny).tolist()), (name, nx, ny)
 
 
+def test_portrait_points_exactly_on_an_edge_or_a_sign_ray(tmp_path):
+    # FIX-C0: y = 3 is the region edge (the stationary x2 ray) and y = 6 the
+    # scalar-zero ray, where R is exactly 0.0; FIX-D: y = x1/x2 is exactly
+    # the critical direction y~2 at (y~2, 1) and (2*y~2, 2).  A point on an
+    # edge belongs to the band above it.
+    y2 = h.critical_directions(h.derive_coeffs(h.get_space("FIX-D"))).y_tilde_2
+    grids = {
+        "FIX-C0": ((3.0, 6.0), (0.5, 1.0), [("0", "above_DB"),
+                                            ("+", "above_DB"),
+                                            ("-", "above_DB"),
+                                            ("0", "above_DB")]),
+        "FIX-D": ((y2, 2 * y2), (1.0, 2.0), [("+", "X3"), ("+", "X2"),
+                                             ("+", "X3"), ("+", "X3")]),
+    }
+    for name, (x1s, x2s, tails) in grids.items():
+        out = tmp_path / name
+        assert run_cli("portrait", "--space", name, "--grid", "2x2",
+                       "--x1-range", "{!r},{!r}".format(*x1s),
+                       "--x2-range", "{!r},{!r}".format(*x2s),
+                       "--out", str(out)) == 0
+        rows = (out / f"{name}_portrait.csv").read_text().splitlines()[1:]
+        assert [tuple(r.split(",")[4:]) for r in rows] == tails, name
+        c = h.derive_coeffs(h.get_space(name))
+        assert rows == _expected_portrait_rows(c, list(x1s), list(x2s)), name
+        lines = json.loads((out / f"{name}_portrait_lines.json").read_text())
+        if name == "FIX-C0":
+            assert lines["stationary_x2_ray"] == 3.0
+            assert lines["scalar_zero_positive"] == [6.0]
+        else:
+            assert lines["critical_directions"][1] == y2
+
+
+@pytest.mark.parametrize("argv", [
+    ("flow", "--space", "FIX-A", "--y0", "0.7"),
+    ("portrait", "--space", "FIX-A", "--grid", "3x3"),
+    ("sweep", "--space", "FIX-A", "--count", "3"),
+    ("blowup", "--space", "FIX-A", "--y0", "0.7"),
+])
+def test_out_naming_a_regular_file_exits_4(tmp_path, capsys, argv):
+    blocker = tmp_path / "out"
+    blocker.write_text("not a directory\n")
+    assert run_cli(*argv, "--out", str(blocker)) == 4
+    assert "input/output failure" in capsys.readouterr().err
+    assert blocker.read_text() == "not a directory\n"
+
+
 def test_portrait_bad_grid(tmp_path):
     assert run_cli("portrait", "--space", "SU42", "--grid", "1x1",
                    "--out", str(tmp_path)) == 2
