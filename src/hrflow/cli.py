@@ -300,15 +300,16 @@ def cmd_portrait(args) -> int:
     # row i*ny + j is the point (xs1[i], xs2[j]); each grid value is
     # formatted once, "%.17g" being _fmt's format.  An x1 grid line is
     # the x1 string joined into the per-call x2 template, filled with the
-    # line's dx1, dx2 and tails, and written as one string
+    # line's dx1, dx2 and tails (taken out of numpy one line at a time),
+    # and written as one string
     x2_parts = [",%.17g" % v + ",%.17g,%.17g%s" for v in xs2.tolist()]
     cells = [None] * (3 * ny)
     grid_lines = zip(["%.17g" % v for v in xs1.tolist()],
-                     *(a.reshape(nx, ny).tolist() for a in (d1, d2, tail)))
+                     *(a.reshape(nx, ny) for a in (d1, d2, tail)))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("x1,x2,dx1,dx2,R_sign,region\n")
         for x1, *line in grid_lines:
-            cells[0::3], cells[1::3], cells[2::3] = line
+            cells[0::3], cells[1::3], cells[2::3] = (a.tolist() for a in line)
             fh.write((x1 + x1.join(x2_parts)) % tuple(cells))
     _write_json(os.path.join(args.out, f"{slug}_portrait_lines.json"), lines)
     print(f"portrait written to {path}")
