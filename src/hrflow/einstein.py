@@ -142,7 +142,8 @@ def critical_directions(c: MaxCoeffs,
     if not p.maximal:
         raise SpaceModelError(f"critical directions need a maximal record: {c}")
     g1 = (-p.a2, 0.0, -p.a0, p.am1)
-    y1 = rt.hybrid_root(g1, 0.0, p.am1 / p.a0 + 1e-300)
+    # g1(2*B1/A1) is about -B1 in floats, where g1(B1/A1) may round to > 0
+    y1 = rt.hybrid_root(g1, 0.0, 2.0 * p.am1 / p.a0)
     g2 = (p.b1, -p.b0, 0.0, -p.bm2)
     y2 = rt.hybrid_root(g2, 0.0, rt.root_bound(g2))
     if not y1 < y2:

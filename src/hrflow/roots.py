@@ -49,30 +49,6 @@ def residual_ok(coeffs: tuple[float, ...], y: float,
     return abs(eval_poly(coeffs, y)) <= rtol * max(poly_scale(coeffs, y), 1e-300)
 
 
-def bisect_root(f, lo: float, hi: float) -> float:
-    """Plain bisection on a bracket with f(lo) and f(hi) of opposite sign."""
-    flo = f(lo)
-    if flo == 0.0:
-        return lo
-    fhi = f(hi)
-    if fhi == 0.0:
-        return hi
-    if (flo > 0) == (fhi > 0):
-        raise ValueError(f"not a bracket: f({lo})={flo}, f({hi})={fhi}")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= BISECT_XTOL * (1.0 + abs(mid)):
-            return mid
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def _newton_polish(coeffs: tuple[float, ...], y: float, lo: float, hi: float) -> float:
     dcoeffs = _derivative(coeffs)
     for _ in range(3):
@@ -96,10 +72,30 @@ def _derivative(coeffs: tuple[float, ...]) -> tuple[float, ...]:
 
 
 def hybrid_root(coeffs: tuple[float, ...], lo: float, hi: float) -> float:
-    """A cubic's root in [lo, hi]: bisection to a tight bracket, with
+    """A cubic's root in [lo, hi]: bisection of its sign change, with
     ``eval_poly``'s arithmetic written out, then a short Newton polish."""
     c3, c2, c1, c0 = coeffs
-    y = bisect_root(lambda t: ((c3 * t + c2) * t + c1) * t + c0, lo, hi)
+    a, b = lo, hi
+    fa = ((c3 * a + c2) * a + c1) * a + c0
+    fb = ((c3 * b + c2) * b + c1) * b + c0
+    if fa == 0.0 or fb == 0.0:
+        y = a if fa == 0.0 else b
+    elif (fa > 0) == (fb > 0):
+        raise ValueError(f"not a bracket: f({lo})={fa}, f({hi})={fb}")
+    else:
+        for _ in range(200):
+            y = 0.5 * (a + b)
+            if b - a <= BISECT_XTOL * (1.0 + abs(y)):
+                break
+            fy = ((c3 * y + c2) * y + c1) * y + c0
+            if fy == 0.0:
+                break
+            if (fy > 0) == (fa > 0):
+                a, fa = y, fy
+            else:
+                b = y
+        else:
+            y = 0.5 * (a + b)
     return _newton_polish(coeffs, y, lo, hi)
 
 

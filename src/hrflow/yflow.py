@@ -10,15 +10,20 @@ are the Einstein directions (plus y = 0 when the constant term vanishes),
 which the engine reads from the ``EinsteinSet`` and never decides itself.
 f2/H is rational, and its partial fractions over the real zeros, the pole
 at y = 0 of the maximal kind and the complex pair of cases c and f give
-ln x2(y) in closed form.  Each end of the flow is then decided by its
-exponents, with no threshold on x or t:
+ln x2(y) in closed form.  Each verdict follows from the type of an end,
+by one lemma: f1(r) = r*f2(r) < 0 at every Einstein direction r.  In the
+non-maximal kind f1 = -C - A*y^2; in the maximal kind f1(r), f2(r) >= 0
+would need A2/B2 < r < B1/A1, so A1*A2 < B1*B2, which the engine refuses
+and no table meets (every table has A1 >= 2*B1, A2 >= 2*B2).  So:
 
-- the whole space collapses at the forward end y* when ln x2 tends to
-  -inf there, which the residue of f2/H at y* decides; otherwise only
-  x1 collapses (a fiber collapse towards y = 0);
-- an ancient solution exists when the backward time, the integral of
-  x2/|H| towards the backward end, diverges, which the exponent of the
-  integrand there decides;
+- the whole space collapses exactly when the forward end is an Einstein
+  direction, where x2' = f2 stays below zero and x2 vanishes in finite
+  time; a flow that ends at y = 0 collapses the fiber x1 alone;
+- an ancient solution exists exactly when the backward end is a zero of
+  H, where the backward time, the integral of x2/|H| with x2 growing,
+  diverges.  It is finite at y = 0 (H finite, or at the maximal pole
+  x2/|H| ~ y^(1 + a) with a = -C2/(B1 + C2) > -1) and at infinity
+  (x2/|H| ~ y^(a_inf - 2) with a_inf = -B2/(B2 + C1) or -B/(A + B) < 0);
 - the singular time T is the convergent integral of x2/|H| from y0 to y*,
   computed by tanh-sinh quadrature (Takahasi and Mori, 1974) with the
   distance to y* kept exact, the level doubled until two levels agree.
@@ -104,9 +109,13 @@ class YFlow:
     """
 
     def __init__(self, c: Coefficients, es: EinsteinSet):
+        p = c.planar
+        # the lemma of the module docstring, which every verdict rests on
+        if p.a0 * p.b0 < p.am1 * p.b1:
+            raise SpaceModelError(
+                f"no two-summand table yields A1*A2 < B1*B2: {c}")
         if any(m > 2 for _, m in es.roots):
             raise Undetermined(f"zeros of H of order above two in {es}")
-        p = c.planar
         hom = p.homothety
         # f2 = y2f2/y^2 in both kinds (bm2 = 0 in the non-maximal one)
         y2f2 = (p.b1, -p.b0, 0.0, -p.bm2)
@@ -165,8 +174,6 @@ class YFlow:
             self.a[j], self.b[j] = ac.real, bc.real
         self.pair = pair
         self.pair_a = coef[-2][0] if pair is not None else 0j
-        # log coefficient of x2 as y -> inf: x2 ~ y^a_inf, |H| ~ y^2
-        self.a_inf = float(self.a.sum() + 2.0 * self.pair_a.real)
         self.lead = lead
         self.y2f2 = y2f2
         self.c = c
@@ -179,23 +186,21 @@ class YFlow:
 
         def slot_row(fwd, move):
             zf, hf, af, bf = z[fwd], h[fwd], a[fwd], b[fwd]
-            fixed, bwd = move == 0, fwd - move
-            if bwd < n:
-                ancient = fixed or (b[bwd] * move < 0.0 if b[bwd] != 0.0
-                                    else a[bwd] - h[bwd] <= -1.0)
-                y_bwd = z[bwd]
-            else:
-                ancient, y_bwd = self.a_inf >= 1.0, math.inf
+            bwd = fwd - move
+            # by the lemma, the type of each end decides: the space
+            # shrinks at an Einstein direction, and the flow is ancient
+            # from a zero of H (a start on a root has both ends there)
+            ancient = bwd < n and h[bwd] >= 1
+            y_bwd = z[bwd] if bwd < n else math.inf
             # x2 ~ d^a at a simple zero of H where a < 1: the quadrature
             # of T maps d = L*w**(1/gamma)
             gamma = af if hf == 1 and bf == 0.0 and af < 1.0 else 1.0
             # fwd and move, the fields of Ends but T (y_forward, shrinks,
             # type_one, ancient, ancient_type_one, y_backward), then the
-            # constants of T at the forward end
-            return (fwd, move, zf, fixed or zf > 0.0 and (
-                        bf * move < 0.0 if bf != 0.0 else af > 0.0),
-                    fixed or zf > 0.0 or hf == 0, ancient,
-                    ancient and 0.0 < y_bwd < math.inf, y_bwd,
+            # constants of T at the forward end; a start on a root never
+            # reads them, and its gamma may be negative
+            return (fwd, move, zf, zf > 0.0, zf > 0.0 or hf == 0, ancient,
+                    ancient and y_bwd > 0.0, y_bwd,
                     gamma, (af - gamma) + (1.0 - hf), bf,
                     float(np.log(gamma)) if gamma > 0.0 else math.nan)
 
@@ -293,9 +298,6 @@ class YFlow:
         """
         fwd = self._fwd[slot]
         gamma, k_ld, bs, ln_gamma = self._forward_consts[slot].T
-        if not np.all(gamma > 0.0):
-            raise SpaceModelError(
-                "x2 does not vanish at a simple forward end")
         zs = self.z[fwd]
         L = np.abs(y0 - zs)
         lnH0 = math.log(-self.lead) + np.log(self._quad(y0))

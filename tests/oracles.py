@@ -198,8 +198,9 @@ def per_cell_csv(traj) -> str:
 def per_start_verdicts(engine, y0s) -> dict:
     """Every verdict of ``YFlow.forward_end`` and ``YFlow.run`` decided
     start by start from the engine's points ``z``, orders ``h`` and
-    coefficients ``a``, ``b`` and ``a_inf``: the per-start formulas the
-    engine used before it decided each interval once per space."""
+    coefficients ``a``, ``b`` and ``pair_a``: the per-start residue
+    formulas the engine used before it decided each verdict from the
+    type of an end, kept as the independent reference for that rule."""
     y0 = np.asarray(y0s, dtype=float).ravel()
     z, h, a, b = engine.z, engine.h, engine.a, engine.b
     below, on = engine.es.locate(y0)
@@ -220,7 +221,8 @@ def per_start_verdicts(engine, y0s) -> dict:
     jb = np.minimum(bwd, n_pts - 1)
     diverges = np.where(b[jb] != 0.0, b[jb] * move < 0.0,
                         a[jb] - h[jb] <= -1.0)
-    ancient = fixed | np.where(finite_b, diverges, engine.a_inf >= 1.0)
+    a_inf = engine.a.sum() + 2.0 * engine.pair_a.real   # x2 ~ y^a_inf
+    ancient = fixed | np.where(finite_b, diverges, a_inf >= 1.0)
     y_bwd = np.where(finite_b, z[jb], math.inf)
     return {
         "fwd": fwd, "move": move, "shrinks": shrinks, "y_forward": zf,

@@ -484,6 +484,26 @@ def test_triple_einstein_root_is_undetermined(tmp_path):
         assert run_cli(*command, *common) == 3
 
 
+def test_critical_directions_of_a_table_with_a_tiny_c1(tmp_path):
+    # C1 = 5.1e-6 against A1 = 1369: at the old bracket end B1/A1 + 1e-300,
+    # g1 = -C1*y^3 - A1*y + B1 rounded to +1.4e-17, and einstein and
+    # portrait exited 1 with "not a bracket"
+    space = h.make_space("TINYC1", d=(8, 6),
+                         b=(1368.8838165727325, 0.1792325995239684),
+                         triple_entries={(1, 1, 2): 0.7187788967229457,
+                                         (1, 2, 2): 8.10657193616904e-05})
+    c = h.derive_coeffs(space)
+    cd = h.critical_directions(c)
+    roots = h.einstein_roots(c).values
+    assert roots and all(cd.y_tilde_1 < r < cd.y_tilde_2 for r in roots)
+    path = str(tmp_path / "tinyc1.json")
+    h.dump_space(space, path)
+    for command in ("einstein", "portrait"):
+        assert run_cli(command, "--space", path, "--out", str(tmp_path)) == 0
+    lines = json.loads((tmp_path / "TINYC1_portrait_lines.json").read_text())
+    assert lines["critical_directions"] == [cd.y_tilde_1, cd.y_tilde_2]
+
+
 def test_sweep_near_a_tiny_einstein_root(tmp_path):
     # lower Einstein root 5e-13: the starts lie far above it relative to
     # its size, in regime a2, not on it

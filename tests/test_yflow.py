@@ -14,6 +14,7 @@ import hrflow as h
 from hrflow import classify, cli, flow, stepper
 from hrflow.blowup import limit_at
 from hrflow.classify import classify_starts
+from hrflow.errors import SpaceModelError
 from hrflow.flow import MetricState
 from hrflow.yflow import YFlow
 
@@ -101,6 +102,34 @@ def test_verdicts_against_per_start_oracle():
         fixed += int((want["move"] == 0).sum())
         moving += int((want["move"] != 0).sum())
     assert fixed > 300 and moving > 1000
+
+
+def test_field_is_negative_at_every_einstein_direction():
+    # the lemma every verdict rests on: f1(r) = r*f2(r) < 0 at each
+    # Einstein direction r, and no record from a table has A1*A2 < B1*B2
+    # (a0*b0 < am1*b1), the condition under which YFlow refuses a record
+    roots = 0
+    for c, es in _fixtures_and_draws():
+        p = c.planar
+        assert p.a0 * p.b0 >= p.am1 * p.b1, c
+        for r in es.values:
+            f1 = -p.a0 + p.am1 / r - p.a2 * r * r
+            f2 = -p.b0 + p.b1 * r - p.bm2 / r / r
+            assert f1 < 0.0 and f2 < 0.0, (c, r, f1, f2)
+            roots += 1
+    assert roots > 300
+
+
+def test_engine_refuses_a_record_no_table_yields():
+    # A1*A2 < B1*B2, with C1 and C2 from the balance relations: at the
+    # Einstein direction y = 1, f1 = f2 = 0.4 > 0, so the end types would
+    # not decide the verdicts
+    c = h.MaxCoeffs(A1=0.1, B1=1.0, C1=0.5, A2=0.1, B2=1.0, C2=0.5,
+                    d1=1, d2=1)
+    es = h.einstein_roots(c)
+    assert 1.0 in es.values
+    with pytest.raises(SpaceModelError, match="no two-summand table"):
+        YFlow(c, es)
 
 
 def test_engine_takes_zeros_of_h_from_einstein_set():
