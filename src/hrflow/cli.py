@@ -215,7 +215,7 @@ def cmd_einstein(args) -> int:
         },
     }
     if c.planar.maximal:
-        cd = critical_directions(c, es)
+        cd = critical_directions(c)
         payload["critical_directions"] = [cd.y_tilde_1, cd.y_tilde_2]
     print(json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK
@@ -269,7 +269,7 @@ def cmd_portrait(args) -> int:
     }
     # the region of a point is the band of y = x1/x2 between these edges
     if coeffs.planar.maximal:
-        cd = critical_directions(coeffs, es)
+        cd = critical_directions(coeffs)
         edges = [cd.y_tilde_1, cd.y_tilde_2]
         lines["critical_directions"] = edges
         labels = ["X1", "X2", "X3"]

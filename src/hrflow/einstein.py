@@ -129,14 +129,13 @@ def einstein_scale_constants(c: Coefficients, root: float) -> tuple[float, float
     return (k1, k2)
 
 
-def critical_directions(c: MaxCoeffs,
-                        es: EinsteinSet | None = None) -> CriticalDirections:
+def critical_directions(c: MaxCoeffs) -> CriticalDirections:
     """Positive zeros of the sign cubics g1 = y*f1(y) and g2 = y^2*f2(y).
 
     g1(0) = B1 > 0 and g1 is strictly decreasing, g2(0) = -C2 < 0 and g2 has
-    a single positive zero; every Einstein root (of ``es``, by default
-    ``einstein_roots(c)``) lies strictly between them.  A non-maximal
-    record has no such wedge and is refused.
+    a single positive zero; every Einstein root lies strictly between them,
+    by the lemma of the ``yflow`` module docstring.  A non-maximal record
+    has no such wedge and is refused.
     """
     p = c.planar
     if not p.maximal:
@@ -146,11 +145,8 @@ def critical_directions(c: MaxCoeffs,
     y1 = rt.hybrid_root(g1, 0.0, 2.0 * p.am1 / p.a0)
     g2 = (p.b1, -p.b0, 0.0, -p.bm2)
     y2 = rt.hybrid_root(g2, 0.0, rt.root_bound(g2))
-    if not y1 < y2:
-        raise AssertionError(f"critical directions out of order: {y1} >= {y2}")
-    for r in (es or einstein_roots(c)).values:
-        if not (y1 < r < y2):
-            raise AssertionError(f"Einstein root {r} outside ({y1}, {y2})")
+    # by the lemma g1(r) = r*f1(r) < 0 puts each root r above y1 and
+    # g2(r) = r*r*f2(r) < 0 below y2; a maximal cubic has one, so y1 < y2
     return CriticalDirections(y_tilde_1=y1, y_tilde_2=y2)
 
 
@@ -162,15 +158,9 @@ def scalar_zero_directions(c: Coefficients) -> ScalarZeroDirections:
         return ScalarZeroDirections(positive_roots=(2.0 * p.b0 / p.b1,),
                                     negative_roots=(), has_zero_root=True)
     found = [r for r, _ in rt.real_roots(poly)]
+    # one negative zero and, above the stationary ray D/B, one positive
+    # zero of a quadratic (zeros multiply to -C/A < 0, the positive one at
+    # least 2*D/B), two of a cubic (p(0) < 0 < p(A2/B2) with A1*A2 >= B1*B2)
     pos = tuple(r for r in found if r > 0.0)
     neg = tuple(r for r in found if r < 0.0)
-    # a quadratic has one positive zero, a cubic two; each has one negative
-    if len(pos) != len(poly) - 2 or len(neg) != 1:
-        raise AssertionError(
-            f"scalar-zero polynomial {poly} must have {len(poly) - 2} "
-            f"positive and one negative root, got {found}")
-    if len(poly) == 3 and not p.b0 / p.b1 < pos[0]:
-        raise AssertionError(
-            f"positive scalar zero {pos[0]} below the stationary ray "
-            f"{p.b0 / p.b1}")
     return ScalarZeroDirections(positive_roots=pos, negative_roots=neg)

@@ -201,7 +201,9 @@ class MaxCoeffs:
 
     The planar system is x1' = -A1 + B1/y - C1*y^2 and
     x2' = -A2 + B2*y - C2/y^2 with y = x1/x2; all six coefficients are
-    strictly positive and d1*B1 = 2*d2*C2, d2*B2 = 2*d1*C1.
+    strictly positive, d1*B1 = 2*d2*C2, d2*B2 = 2*d1*C1 and
+    A1*A2 >= B1*B2, which every table meets; any other record is refused
+    here, and nothing downstream checks these again.
     """
 
     A1: Number
@@ -224,6 +226,11 @@ class MaxCoeffs:
         for lhs, rhs, label in pairs:
             if abs(lhs - rhs) > BALANCE_RTOL * max(abs(lhs), abs(rhs)):
                 raise SpaceModelError(f"{label} violated: {lhs} vs {rhs}")
+        # every table has A1 >= 2*B1 and A2 >= 2*B2, while the lemma of the
+        # yflow module docstring needs only this (exact for exact records)
+        if self.A1 * self.A2 < self.B1 * self.B2:
+            raise SpaceModelError(
+                f"no two-summand table yields A1*A2 < B1*B2: {self}")
 
     @cached_property
     def planar(self) -> PlanarField:

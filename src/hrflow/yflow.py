@@ -13,8 +13,8 @@ at y = 0 of the maximal kind and the complex pair of cases c and f give
 ln x2(y) in closed form.  Each verdict follows from the type of an end,
 by one lemma: f1(r) = r*f2(r) < 0 at every Einstein direction r.  In the
 non-maximal kind f1 = -C - A*y^2; in the maximal kind f1(r), f2(r) >= 0
-would need A2/B2 < r < B1/A1, so A1*A2 < B1*B2, which the engine refuses
-and no table meets (every table has A1 >= 2*B1, A2 >= 2*B2).  So:
+would need A2/B2 < r < B1/A1, so A1*A2 < B1*B2, which no table meets
+(every table has A1 >= 2*B1, A2 >= 2*B2) and ``MaxCoeffs`` refuses.  So:
 
 - the whole space collapses exactly when the forward end is an Einstein
   direction, where x2' = f2 stays below zero and x2 vanishes in finite
@@ -110,10 +110,6 @@ class YFlow:
 
     def __init__(self, c: Coefficients, es: EinsteinSet):
         p = c.planar
-        # the lemma of the module docstring, which every verdict rests on
-        if p.a0 * p.b0 < p.am1 * p.b1:
-            raise SpaceModelError(
-                f"no two-summand table yields A1*A2 < B1*B2: {c}")
         if any(m > 2 for _, m in es.roots):
             raise Undetermined(f"zeros of H of order above two in {es}")
         hom = p.homothety
@@ -175,7 +171,6 @@ class YFlow:
         self.pair = pair
         self.pair_a = coef[-2][0] if pair is not None else 0j
         self.lead = lead
-        self.y2f2 = y2f2
         self.c = c
         self.es = es
 
@@ -269,8 +264,9 @@ class YFlow:
         T = np.empty(len(y0))
         fixed = move == 0
         if np.any(fixed):
-            zr = ends["y_forward"][fixed]
-            T[fixed] = -zr * zr / eval_poly(self.y2f2, zr)
+            # -1/f2(r) for the start (r, 1), with no r*r to underflow
+            zr, p = ends["y_forward"][fixed], self.c.planar
+            T[fixed] = 1.0 / (p.b0 - p.b1 * zr + p.bm2 / zr / zr)
         moving = np.nonzero(move)[0]
         for lo in range(0, len(moving), CHUNK):
             rows = moving[lo:lo + CHUNK]

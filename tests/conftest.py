@@ -1,6 +1,15 @@
+import warnings
+
 import pytest
 
 import hrflow as h
+
+# hypothesis imports this module to report a failing @given test, and the
+# libcst it imports warns on import: under filterwarnings = ["error"] the
+# report would end the run as an INTERNALERROR, naming no failed test
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 
 @pytest.fixture(scope="session")

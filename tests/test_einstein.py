@@ -10,6 +10,7 @@ import hrflow as h
 from hrflow.einstein import ROOT_EXCLUSION
 from hrflow.errors import NotAnEinsteinRoot, SpaceModelError
 from hrflow.spaces import FIX_E2_CONSTANT, FIX_E_CONSTANT
+from hrflow.yflow import YFlow
 
 from oracles import max_cubic, max_cubic_bound, nonmax_quadratic, sweep_roots
 from randspaces import (
@@ -217,6 +218,58 @@ def test_einstein_roots_between_critical_directions():
             assert cd.y_tilde_1 < r < cd.y_tilde_2
 
 
+def test_record_on_the_door_is_served_and_one_below_refused():
+    # A1*A2 = B1*B2 exactly: the lemma is strict (f1(r) >= 0 needs
+    # r < B1/A1 and f2(r) >= 0 needs r > A2/B2), so the record is accepted,
+    # and the cubic -(y - 1)(3y^2 + y + 3)/2 has its one root at y = 1
+    one, half = Fraction(1), Fraction(1, 2)
+    kw = dict(A1=one, B1=one, C1=half, B2=one, C2=half, d1=1, d2=1)
+    c = h.MaxCoeffs(A2=one, **kw)
+    es = h.einstein_roots(c)
+    assert es.roots == ((1.0, 1),) and es.case_label == "f"
+    # -(y + 1)(y^2 - 3y + 1)/4
+    sz = h.scalar_zero_directions(c)
+    assert sz.negative_roots == pytest.approx((-1.0,), rel=1e-12)
+    assert sz.positive_roots == pytest.approx(
+        ((3 - 5 ** 0.5) / 2, (3 + 5 ** 0.5) / 2), rel=1e-12)
+    cd = h.critical_directions(c)
+    assert cd.y_tilde_1 < 1.0 < cd.y_tilde_2
+    ends = YFlow(c, es).run([0.5, 1.0, 2.0])
+    assert ends.y_forward.tolist() == [1.0, 1.0, 1.0]
+    assert ends.shrinks.all() and np.all(ends.T > 0.0)
+    with pytest.raises(SpaceModelError, match="no two-summand table"):
+        h.MaxCoeffs(A2=Fraction(999, 1000), **kw)
+
+
+def test_raw_records_are_refused_or_keep_the_root_layer_whole():
+    # raw records that no table need yield: each is refused where built,
+    # or has two positive and one negative scalar zero and every Einstein
+    # direction strictly inside the critical wedge
+    rng = np.random.default_rng(5)
+    refused = served = 0
+    for _ in range(3000):
+        A1, A2, B1, B2 = np.exp(rng.uniform(-5, 3, 4)).tolist()
+        d1, d2 = rng.integers(1, 9, 2).tolist()
+        kw = dict(A1=A1, B1=B1, C1=d2 * B2 / (2 * d1),
+                  A2=A2, B2=B2, C2=d1 * B1 / (2 * d2), d1=d1, d2=d2)
+        try:
+            c = h.MaxCoeffs(**kw)
+        except SpaceModelError:
+            assert A1 * A2 < B1 * B2, kw
+            refused += 1
+            continue
+        es = h.einstein_roots(c)
+        sz = h.scalar_zero_directions(c)
+        cd = h.critical_directions(c)
+        assert len(sz.positive_roots) == 2, c
+        assert len(sz.negative_roots) == 1, c
+        assert es.values, c
+        for r in es.values:
+            assert cd.y_tilde_1 < r < cd.y_tilde_2, (c, r)
+        served += 1
+    assert refused > 1000 and served > 1000, (refused, served)
+
+
 def test_maximal_scalar_zero_sign_pattern_random():
     rng = np.random.default_rng(17)
     for _ in range(40):
@@ -250,8 +303,14 @@ def test_quadratic_roots_always_positive(A, C, D, d1, d2):
     d1=st.integers(1, 8), d2=st.integers(1, 8),
 )
 def test_cubic_has_positive_roots_only(A1, A2, B1, B2, d1, d2):
-    c = h.MaxCoeffs(A1=A1, B1=B1, C1=d2 * B2 / (2 * d1),
-                    A2=A2, B2=B2, C2=d1 * B1 / (2 * d2), d1=d1, d2=d2)
+    kw = dict(A1=A1, B1=B1, C1=d2 * B2 / (2 * d1),
+              A2=A2, B2=B2, C2=d1 * B1 / (2 * d2), d1=d1, d2=d2)
+    if A1 * A2 < B1 * B2:
+        # no table yields such a record, and it is refused where built
+        with pytest.raises(SpaceModelError, match="no two-summand table"):
+            h.MaxCoeffs(**kw)
+        return
+    c = h.MaxCoeffs(**kw)
     es = h.einstein_roots(c)
     assert es.count_distinct >= 1
     for r in es.values:

@@ -123,6 +123,15 @@ def test_coeff_constructors_guard_signs():
                     d1=2, d2=1)
 
 
+def test_max_coeffs_refuses_a_record_no_table_yields():
+    # A1*A2 < B1*B2, with C1 and C2 from the balance relations: its cubic
+    # has the Einstein direction y = 1, where f1 = f2 = 0.4 > 0 against the
+    # lemma every verdict rests on, so the record is refused where built
+    with pytest.raises(SpaceModelError, match="no two-summand table"):
+        h.MaxCoeffs(A1=0.1, B1=1.0, C1=0.5, A2=0.1, B2=1.0, C2=0.5,
+                    d1=1, d2=1)
+
+
 def test_fix_d_derivation(spaces):
     c = h.derive_coeffs(spaces["FIX-D"])
     vals = tuple(float(v) for v in (c.A1, c.B1, c.C1, c.A2, c.B2, c.C2))

@@ -14,7 +14,6 @@ import hrflow as h
 from hrflow import classify, cli, flow, stepper
 from hrflow.blowup import limit_at
 from hrflow.classify import classify_starts
-from hrflow.errors import SpaceModelError
 from hrflow.flow import MetricState
 from hrflow.yflow import YFlow
 
@@ -75,13 +74,12 @@ def _starts_everywhere(es) -> list[float]:
     return y0s
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_verdicts_against_per_start_oracle():
     # every verdict field of forward_end and run equals the per-start
     # formulas, dtype included, on starts in every interval and on every
     # Einstein direction of the fixtures and the seeded draws.  T is not
-    # compared: on an Einstein direction below about 1e-162, r*r
-    # underflows and T is 0/0
+    # compared here; test_homothety_time_on_tiny_einstein_directions
+    # checks it on the directions
     fixtures = [h.derive_coeffs(h.get_space(name)) for name in FIXTURES]
     cases = [(c, h.einstein_roots(c), []) for c in fixtures]
     cases += [(c, es, [y0]) for c, es, y0 in random_starts(19, 120)]
@@ -107,7 +105,7 @@ def test_verdicts_against_per_start_oracle():
 def test_field_is_negative_at_every_einstein_direction():
     # the lemma every verdict rests on: f1(r) = r*f2(r) < 0 at each
     # Einstein direction r, and no record from a table has A1*A2 < B1*B2
-    # (a0*b0 < am1*b1), the condition under which YFlow refuses a record
+    # (a0*b0 < am1*b1), the condition under which MaxCoeffs refuses one
     roots = 0
     for c, es in _fixtures_and_draws():
         p = c.planar
@@ -120,16 +118,18 @@ def test_field_is_negative_at_every_einstein_direction():
     assert roots > 300
 
 
-def test_engine_refuses_a_record_no_table_yields():
-    # A1*A2 < B1*B2, with C1 and C2 from the balance relations: at the
-    # Einstein direction y = 1, f1 = f2 = 0.4 > 0, so the end types would
-    # not decide the verdicts
-    c = h.MaxCoeffs(A1=0.1, B1=1.0, C1=0.5, A2=0.1, B2=1.0, C2=0.5,
-                    d1=1, d2=1)
-    es = h.einstein_roots(c)
-    assert 1.0 in es.values
-    with pytest.raises(SpaceModelError, match="no two-summand table"):
-        YFlow(c, es)
+def test_homothety_time_on_tiny_einstein_directions():
+    # a start (r, 1) on an Einstein direction is a homothety with
+    # T = -1/f2(r) = 1/(D - B*r) in the non-maximal kind; no r*r is formed,
+    # so roots below 1.5e-154 get their time too, with warnings as errors
+    tiny = 0
+    for c, es, _ in c0_boundary_starts(19, 40):
+        roots = np.array(es.values)
+        T = YFlow(c, es).run(roots).T
+        want = 1.0 / (float(c.D) - float(c.B) * roots)
+        assert np.all(np.abs(T - want) <= 1e-15 * want), (c, roots, T)
+        tiny += int((roots < 1.5e-154).sum())
+    assert tiny >= 10
 
 
 def test_engine_takes_zeros_of_h_from_einstein_set():
