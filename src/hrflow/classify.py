@@ -22,7 +22,7 @@ from .einstein import einstein_roots  # noqa: F401
 from .errors import OnEinsteinRoot
 from .flow import Trajectory
 from .spaces import Coefficients
-from .yflow import YFlow
+from .yflow import Ends, YFlow
 
 class Outcome(Enum):
     SHRINK_TO_POINT = "ShrinkToPoint"
@@ -196,22 +196,30 @@ def classify_starts(engine: YFlow, y0s, *,
     of ``engine``, one per start and its regime, with every verdict and T
     from the closed form along y.  ``backward=False`` leaves the ancient
     fields unset."""
-    return classify_slots(engine, *engine.locate(y0s), backward=backward)
-
-
-def classify_slots(engine: YFlow, y0, slot, *,
-                   backward: bool = True) -> list[BehaviorReport]:
-    """``classify_starts`` of what ``engine.locate`` returned."""
+    y0, slot = engine.locate(y0s)
     ends = engine.ends_at(y0, slot)
+    reports = slot_reports(engine, slot, ends, backward=backward)
+    return [replace(reports[k], T_estimate=T)
+            for k, T in zip(slot.tolist(), ends.T.tolist())]
+
+
+def slot_reports(engine: YFlow, slot, ends: Ends, *,
+                 backward: bool = True) -> dict[int, BehaviorReport]:
+    """The behaviour report of each slot of ``slot``, what ``engine.locate``
+    returned, from the ``Ends`` that ``engine.ends_at`` gave its starts.
+    Every field but T depends on the slot alone, so T_estimate is unset."""
     regimes = slot_regimes(engine.es)
     shrink = _shrink_outcome(engine.c)
     t1, t2 = SingularType.TYPE_I, SingularType.TYPE_II
-    reports = []
-    # the fields of Ends, in order, as Python values
-    for k, y_fwd, shrinks, one, ancient, ancient_one, y_bwd, T in zip(
-            slot.tolist(), *(v.tolist() for v in vars(ends).values())):
+    # the fields of Ends but T, in order, as Python values
+    fields = [v.tolist() for v in list(vars(ends).values())[:-1]]
+    reports = {}
+    # one start per slot: all of a slot's starts share its verdicts
+    for k, i in {k: i for i, k in enumerate(slot.tolist())}.items():
+        y_fwd, shrinks, one, ancient, ancient_one, y_bwd = (
+            v[i] for v in fields)
         ancient = ancient if backward else None
-        reports.append(BehaviorReport(
+        reports[k] = BehaviorReport(
             regime=regimes[k],
             forward_outcome=shrink if shrinks else Outcome.FIBER_COLLAPSE,
             singular_type=t1 if one else t2,
@@ -219,8 +227,7 @@ def classify_slots(engine: YFlow, y0, slot, *,
             ancient_exists=ancient,
             ancient_type=(t1 if ancient_one else t2) if ancient else None,
             backward_y_limit=y_bwd if ancient else None,
-            T_estimate=T,
-        ))
+        )
     return reports
 
 

@@ -26,10 +26,10 @@ from . import __version__
 # classification layer boundaries
 from .blowup import limit_at, soliton_limit  # noqa: F401
 from .classify import (  # noqa: F401
-    classify_slots,
     classify_trajectory,
     predicted_report,
     regime_of,
+    slot_reports,
 )
 from .einstein import (
     critical_directions,
@@ -187,11 +187,13 @@ def cmd_catalog(args) -> int:
 def cmd_validate(args) -> int:
     space = _resolve_space(args.space)
     report = validate(space)
+    # JSON has no NaN or Infinity: a magnitude that is not finite is null
     payload = {
         "space": space.name,
         "ok": report.ok,
         "violations": [
-            {"rule": v.rule, "message": v.message, "magnitude": v.magnitude}
+            {"rule": v.rule, "message": v.message,
+             "magnitude": v.magnitude if math.isfinite(v.magnitude) else None}
             for v in report.violations
         ],
     }
@@ -342,18 +344,19 @@ def cmd_sweep(args) -> int:
 
 
 def _sweep_rows(engine: YFlow, y0s: list[float]) -> list[str]:
-    """The nine fields after the index of each start, all but y0 and T
-    formatted once per slot (``YFlow.locate``); a singular time that is
-    not finite leaves the run undetermined."""
+    """The nine fields after the index of each start: T from one
+    ``YFlow.ends_at``, the rest formatted once per slot from the slot's
+    report (``slot_reports``); a singular time that is not finite leaves
+    the run undetermined."""
     y0, slot = engine.locate(y0s)
-    rows, out = {}, []
-    for v, k, rep in zip(y0s, slot.tolist(),
-                         classify_slots(engine, y0, slot)):
-        if k not in rows:
-            rows[k] = _sweep_row(engine, rep)
-        if rep.regime.family != "fixed" and not math.isfinite(rep.T_estimate):
-            raise NotCollapsed(f"T = {rep.T_estimate} from y0 = {v}")
-        out.append(rows[k].format(_fmt(v), _fmt(rep.T_estimate)))
+    ends = engine.ends_at(y0, slot)
+    reports = slot_reports(engine, slot, ends)
+    rows = {k: _sweep_row(engine, rep) for k, rep in reports.items()}
+    out = []
+    for v, k, T in zip(y0s, slot.tolist(), ends.T.tolist()):
+        if not math.isfinite(T) and reports[k].regime.family != "fixed":
+            raise NotCollapsed(f"T = {T} from y0 = {v}")
+        out.append(rows[k].format(_fmt(v), _fmt(T)))
     return out
 
 
@@ -482,12 +485,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     command("blowup", cmd_blowup, "rescaled limit near the singular time",
             _space_flags, _horizon_flag, _initial_flags)
+    # each subcommand's own parser by name, which ``_parse`` hands the
+    # arguments after the name
+    parser.commands = sub.choices
     return parser
+
+
+def _parse(parser: argparse.ArgumentParser, argv: list) -> argparse.Namespace:
+    """``parser.parse_args(argv)``.  When argv starts with a subcommand,
+    the whole table would pass every later argument to that subcommand's
+    parser, so that parser is called directly; what it does not recognise
+    is reported by the whole table's parser, as ``parse_args`` does."""
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extra = sub.parse_known_args(argv[1:])
+    if extra:
+        parser.error("unrecognized arguments: " + " ".join(extra))
+    args.command = argv[0]
+    return args
 
 
 def main(argv=None) -> int:
     """Run one subcommand; the only place that maps errors to exit codes."""
-    args = build_parser().parse_args(argv)
+    args = _parse(build_parser(), sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except OSError as exc:

@@ -20,6 +20,7 @@ exact arithmetic when the table is exact.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -177,7 +178,10 @@ class NonMaxCoeffs:
         if self.C < 0:
             raise PositivityViolation(f"C must be nonnegative: {self}")
         lhs, rhs = self.d1 * self.A / 2, self.d2 * self.B / 4
-        if abs(lhs - rhs) > BALANCE_RTOL * max(abs(lhs), abs(rhs)):
+        # equal sides skip the tolerance, Fraction arithmetic for exact
+        # records; inf against inf passes either way (inf - inf is nan)
+        if lhs != rhs and \
+                abs(lhs - rhs) > BALANCE_RTOL * max(abs(lhs), abs(rhs)):
             raise SpaceModelError(
                 f"(d1/2)A = {lhs} and (d2/4)B = {rhs} must agree"
             )
@@ -224,7 +228,8 @@ class MaxCoeffs:
             (self.d2 * self.B2, 2 * self.d1 * self.C1, "d2*B2 = 2*d1*C1"),
         )
         for lhs, rhs, label in pairs:
-            if abs(lhs - rhs) > BALANCE_RTOL * max(abs(lhs), abs(rhs)):
+            if lhs != rhs and \
+                    abs(lhs - rhs) > BALANCE_RTOL * max(abs(lhs), abs(rhs)):
                 raise SpaceModelError(f"{label} violated: {lhs} vs {rhs}")
         # every table has A1 >= 2*B1 and A2 >= 2*B2, while the lemma of the
         # yflow module docstring needs only this (exact for exact records)
@@ -252,6 +257,9 @@ Coefficients = NonMaxCoeffs | MaxCoeffs
 
 
 def _close(a: Number, b: Number, rtol: float) -> bool:
+    if a == b:
+        # inf - inf is nan, so two infinite sides never agree
+        return -math.inf < a < math.inf
     scale = max(abs(a), abs(b), 1)
     return abs(a - b) <= rtol * scale
 

@@ -54,6 +54,29 @@ def test_validate_bad_space(tmp_path, capsys):
     assert payload["ok"] is False and payload["violations"]
 
 
+#: a table whose first balance has an infinite side on both hands:
+#: inf - inf is nan, so no tolerance can accept it
+INF_BALANCE = {"name": "INF", "l": 2, "d": [2, 4], "b": [math.inf, 3],
+               "c": [math.inf, 0.25],
+               "triple": [{"i": 1, "j": 2, "k": 2, "value": 4}]}
+
+
+def test_infinite_balance_is_refused(tmp_path, capsys):
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps(INF_BALANCE))
+    report = h.validate(h.load_space(str(path)))
+    assert [(v.rule, v.message.split(":")[0])
+            for v in report.violations] == [
+        ("killing-casimir-balance", "summand 1"),
+        ("killing-casimir-balance", "summand 2")]
+    assert run_cli("einstein", "--space", str(path)) == 2
+    assert "summand 1: d*b = inf but" in capsys.readouterr().err
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not a JSON value")
+
+
 def _fix_a_with(**changes):
     space = h.space_to_dict(h.get_space("FIX-A"))
     for key, value in changes.items():
@@ -82,6 +105,21 @@ def test_malformed_space_json_is_invalid_input(tmp_path, capsys, space):
     path.write_text(json.dumps(space))
     assert run_cli("validate", "--space", str(path)) == 2
     assert "malformed space definition" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("space,rule", [
+    pytest.param(INF_BALANCE, "killing-casimir-balance", id="infinite-balance"),
+    pytest.param(_fix_a_with(b=[1, 3, 4]), "shape", id="shape"),
+])
+def test_validate_writes_null_for_a_magnitude_that_is_not_finite(
+        tmp_path, capsys, space, rule):
+    # RFC 8259 has no NaN or Infinity
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(space))
+    assert run_cli("validate", "--space", str(path)) == 2
+    payload = json.loads(capsys.readouterr().out, parse_constant=_no_constant)
+    assert [v["rule"] for v in payload["violations"]
+            if v["magnitude"] is None] == [rule]
 
 
 def test_einstein_su42(capsys):
@@ -399,6 +437,34 @@ def test_sweep_fixed_direction_rows_are_full(tmp_path):
         assert len(row.split(",")) == n_fields
 
 
+def test_sweep_refuses_a_moving_start_whose_T_is_not_finite(
+        monkeypatch, tmp_path, capsys):
+    # FIX-A's grid 0.5, 0.5**0.5, 1 sits on both Einstein directions and
+    # between them; T is made infinite for every start on a direction and
+    # for the one between.  A row on a direction has no T, so those rows
+    # are written as before, and the start between leaves the sweep
+    # undetermined
+    argv = ("sweep", "--space", "FIX-A", "--y0-range", "0.5,1")
+    assert run_cli(*argv, "--count", "2", "--out", str(tmp_path / "a")) == 0
+    fixed_rows = (tmp_path / "a" / "FIX-A_sweep.csv").read_bytes()
+    real = YFlow.ends_at
+
+    def infinite(self, y0, slot):
+        ends = real(self, y0, slot)
+        on_root = np.isin(y0, self.es.values)
+        ends.T[on_root | (np.cumsum(~on_root) == 1)] = math.inf
+        return ends
+
+    monkeypatch.setattr(YFlow, "ends_at", infinite)
+    assert run_cli(*argv, "--count", "2", "--out", str(tmp_path / "b")) == 0
+    assert (tmp_path / "b" / "FIX-A_sweep.csv").read_bytes() == fixed_rows
+    capsys.readouterr()
+    assert run_cli(*argv, "--count", "3", "--out", str(tmp_path / "c")) == 3
+    middle = np.geomspace(0.5, 1.0, 3).tolist()[1]
+    assert capsys.readouterr().err == (
+        f"undetermined: T = inf from y0 = {middle}\n")
+
+
 def test_flow_undetermined_exit_code(tmp_path, capsys):
     # a budget that lets the forward run finish but starves the backward
     # run cuts the backward CSV short, and one line on stderr names it;
@@ -577,7 +643,7 @@ def test_blowup_limit_near_repelling_root(tmp_path, capsys):
     assert payload["pair"] == pytest.approx([7.5, 3.75], rel=1e-12)
 
 
-@pytest.mark.parametrize("argv", [
+UNREAD_FLAGS = [
     ("einstein", "--space", "FIX-A", "--horizon", "5"),
     ("validate", "--space", "FIX-A", "--seed", "3"),
     ("flow", "--space", "FIX-A", "--y0", "1", "--format", "csv"),
@@ -596,12 +662,39 @@ def test_blowup_limit_near_repelling_root(tmp_path, capsys):
     # --y0 is the start (y0, 1); --x1 and --x2 give any scale
     ("flow", "--space", "FIX-A", "--y0", "1", "--scale", "2"),
     ("blowup", "--space", "FIX-A", "--y0", "1", "--scale", "2"),
-])
+]
+
+
+@pytest.mark.parametrize("argv", UNREAD_FLAGS)
 def test_unread_flags_are_refused(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(*argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _exit_and_streams(capsys, call) -> tuple:
+    try:
+        code = call()
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv", [
+    (), ("--version",), ("-h",), ("sweep", "-h"), ("bogus",),
+    *UNREAD_FLAGS,
+    ("sweep", "--space", "FIX-A", "--count", "x"),
+    ("flow", "--y0", "1"),
+], ids=lambda v: "-".join(v) or "no-arguments")
+def test_main_parses_as_the_whole_parser(argv, capsys):
+    # main may hand the arguments to the subcommand's own parser, but the
+    # exit code and every byte argparse writes stay those of the whole
+    # command table, "unrecognized arguments" included
+    want = _exit_and_streams(
+        capsys, lambda: cli.build_parser().parse_args(list(argv)))
+    assert isinstance(want[0], int)
+    assert _exit_and_streams(capsys, lambda: main(list(argv))) == want
 
 
 def test_cached_parser_keeps_no_state(tmp_path, capsys):
