@@ -22,7 +22,7 @@ from .einstein import einstein_roots  # noqa: F401
 from .errors import OnEinsteinRoot
 from .flow import Trajectory
 from .spaces import Coefficients
-from .yflow import Ends, YFlow
+from .yflow import YFlow
 
 class Outcome(Enum):
     SHRINK_TO_POINT = "ShrinkToPoint"
@@ -198,35 +198,31 @@ def classify_starts(engine: YFlow, y0s, *,
     fields unset."""
     y0, slot = engine.locate(y0s)
     ends = engine.ends_at(y0, slot)
-    reports = slot_reports(engine, slot, ends, backward=backward)
+    reports = slot_reports(engine, slot, backward=backward)
     return [replace(reports[k], T_estimate=T)
             for k, T in zip(slot.tolist(), ends.T.tolist())]
 
 
-def slot_reports(engine: YFlow, slot, ends: Ends, *,
+def slot_reports(engine: YFlow, slots, *,
                  backward: bool = True) -> dict[int, BehaviorReport]:
-    """The behaviour report of each slot of ``slot``, what ``engine.locate``
-    returned, from the ``Ends`` that ``engine.ends_at`` gave its starts.
-    Every field but T depends on the slot alone, so T_estimate is unset."""
+    """The behaviour report, T_estimate unset, of each distinct slot of
+    ``slots`` (from ``engine.locate``), read from ``engine.slot_ends``."""
     regimes = slot_regimes(engine.es)
     shrink = _shrink_outcome(engine.c)
     t1, t2 = SingularType.TYPE_I, SingularType.TYPE_II
-    # the fields of Ends but T, in order, as Python values
-    fields = [v.tolist() for v in list(vars(ends).values())[:-1]]
+    e = engine.slot_ends
     reports = {}
-    # one start per slot: all of a slot's starts share its verdicts
-    for k, i in {k: i for i, k in enumerate(slot.tolist())}.items():
-        y_fwd, shrinks, one, ancient, ancient_one, y_bwd = (
-            v[i] for v in fields)
-        ancient = ancient if backward else None
+    for k in dict.fromkeys(slots.tolist()):
+        ancient = bool(e.ancient[k]) if backward else None
         reports[k] = BehaviorReport(
             regime=regimes[k],
-            forward_outcome=shrink if shrinks else Outcome.FIBER_COLLAPSE,
-            singular_type=t1 if one else t2,
-            forward_y_limit=y_fwd,
+            forward_outcome=shrink if e.shrinks[k] else Outcome.FIBER_COLLAPSE,
+            singular_type=t1 if e.type_one[k] else t2,
+            forward_y_limit=float(e.y_forward[k]),
             ancient_exists=ancient,
-            ancient_type=(t1 if ancient_one else t2) if ancient else None,
-            backward_y_limit=y_bwd if ancient else None,
+            ancient_type=(t1 if e.ancient_type_one[k] else t2)
+            if ancient else None,
+            backward_y_limit=float(e.y_backward[k]) if ancient else None,
         )
     return reports
 

@@ -33,6 +33,8 @@ Number = int | float | Fraction
 
 #: relative tolerance for the per-summand balance relation
 BALANCE_RTOL = 1e-12
+#: the largest finite float; an exact number above it has no float
+FLOAT_MAX = 1.7976931348623157e308
 
 
 class Kind(Enum):
@@ -44,7 +46,7 @@ class Kind(Enum):
 class Violation:
     rule: str
     message: str
-    magnitude: float
+    magnitude: Number       # in the table's arithmetic, exact or float
 
 
 @dataclass(frozen=True)
@@ -261,7 +263,10 @@ def _close(a: Number, b: Number, rtol: float) -> bool:
         # inf - inf is nan, so two infinite sides never agree
         return -math.inf < a < math.inf
     scale = max(abs(a), abs(b), 1)
-    return abs(a - b) <= rtol * scale
+    # beyond the float range rtol*scale is no bound: an exact scale is
+    # compared exactly, and an infinite side agrees with no finite one
+    return (abs(a - b) <= rtol * scale if scale <= FLOAT_MAX
+            else abs(a - b) / scale <= rtol)
 
 
 def validate(space: GeneralSpace) -> ValidationReport:
@@ -283,10 +288,10 @@ def validate(space: GeneralSpace) -> ValidationReport:
             bad.append(Violation("dim-positive", f"d{i} must be a positive integer", 0.0))
         if not space.b[i - 1] > 0:
             bad.append(Violation("killing-positive", f"b{i} must be positive",
-                                 float(-space.b[i - 1])))
+                                 -space.b[i - 1]))
         if space.c[i - 1] < 0:
             bad.append(Violation("casimir-nonnegative", f"c{i} must be nonnegative",
-                                 float(-space.c[i - 1])))
+                                 -space.c[i - 1]))
 
     for i in range(1, l + 1):
         for j in range(i, l + 1):
@@ -295,7 +300,7 @@ def validate(space: GeneralSpace) -> ValidationReport:
                 if v < 0:
                     bad.append(Violation(
                         "triple-nonnegative", f"[{i}{j}{k}] must be nonnegative",
-                        float(-v)))
+                        -v))
                 for p, q, r in {(i, k, j), (j, i, k), (j, k, i),
                                 (k, i, j), (k, j, i)}:
                     w = space.t(p, q, r)
@@ -303,7 +308,7 @@ def validate(space: GeneralSpace) -> ValidationReport:
                         bad.append(Violation(
                             "triple-symmetric",
                             f"[{i}{j}{k}] = {v} differs from [{p}{q}{r}] = {w}",
-                            float(abs(v - w))))
+                            abs(v - w)))
 
     for i in range(1, l + 1):
         lhs = space.d[i - 1] * space.b[i - 1]
@@ -312,7 +317,7 @@ def validate(space: GeneralSpace) -> ValidationReport:
             bad.append(Violation(
                 "killing-casimir-balance",
                 f"summand {i}: d*b = {lhs} but 2*d*c + sum[ijk] = {rhs}",
-                float(abs(lhs - rhs))))
+                abs(lhs - rhs)))
 
     return ValidationReport(tuple(bad))
 
@@ -324,14 +329,22 @@ def derive_coeffs(space: TwoSummandSpace) -> Coefficients:
     d1, d2 = space.d
     t111, t112 = space.t(1, 1, 1), space.t(1, 1, 2)
     t122, t222 = space.t(1, 2, 2), space.t(2, 2, 2)
-    # the terms both kinds share, named as in the non-maximal record
-    A, B = t122 / (2 * d1), t122 / d2
-    C = space.b[0] - t111 / (2 * d1) - t122 / d1
-    D = space.b[1] - t222 / (2 * d2)
-    if space.kind is Kind.NON_MAXIMAL:
-        return NonMaxCoeffs(A=A, B=B, C=C, D=D, d1=d1, d2=d2)
-    return MaxCoeffs(A1=C, B1=t112 / d1, C1=A, A2=D - t112 / d2, B2=B,
-                     C2=t112 / (2 * d2), d1=d1, d2=d2)
+    # an exact entry beyond the float range overflows where it meets a
+    # float, here or in the planar field every reader takes
+    try:
+        # the terms both kinds share, named as in the non-maximal record
+        A, B = t122 / (2 * d1), t122 / d2
+        C = space.b[0] - t111 / (2 * d1) - t122 / d1
+        D = space.b[1] - t222 / (2 * d2)
+        c = (NonMaxCoeffs(A=A, B=B, C=C, D=D, d1=d1, d2=d2)
+             if space.kind is Kind.NON_MAXIMAL else
+             MaxCoeffs(A1=C, B1=t112 / d1, C1=A, A2=D - t112 / d2, B2=B,
+                       C2=t112 / (2 * d2), d1=d1, d2=d2))
+        c.planar
+    except OverflowError:
+        raise SpaceModelError(f"{space.name}: a flow coefficient exceeds "
+                              "the float range") from None
+    return c
 
 
 # ---------------------------------------------------------------------------

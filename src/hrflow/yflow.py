@@ -24,14 +24,18 @@ would need A2/B2 < r < B1/A1, so A1*A2 < B1*B2, which no table meets
   diverges.  It is finite at y = 0 (H finite, or at the maximal pole
   x2/|H| ~ y^(1 + a) with a = -C2/(B1 + C2) > -1) and at infinity
   (x2/|H| ~ y^(a_inf - 2) with a_inf = -B2/(B2 + C1) or -B/(A + B) < 0);
+- the singularity is always of Type I, x2 ~ -f2*(T - t) at an Einstein
+  direction and x1 ~ C*(T - t) at y = 0: y falls to 0 only where H(0) is
+  finite, as H ~ (B1 + C2)/y (maximal) and H ~ D*y (family C0) are positive
+  above 0, so the lowest slot rises (the parity of the roots of odd order
+  agrees: ``real_roots`` gives a cubic an odd number of them);
 - the singular time T is the convergent integral of x2/|H| from y0 to y*,
   computed by tanh-sinh quadrature (Takahasi and Mori, 1974) with the
   distance to y* kept exact, the level doubled until two levels agree.
 
 Every verdict but T depends on a start's slot alone: the interval between
-Einstein directions it moves in, or the direction it sits on.  Each slot's
-verdicts are decided once per space, when the engine is built; a call
-locates its starts once, looks their verdicts up and computes T per start.
+Einstein directions it moves in, or the direction it sits on.  So a slot's
+``Ends``, a homothety's T included, are decided once per space.
 
 Only numpy and scalar arithmetic are used: the complex pair comes from
 deflating the known real zeros, never from an eigenvalue solver.
@@ -188,16 +192,20 @@ class YFlow:
             ancient = bwd < n and h[bwd] >= 1
             y_bwd = z[bwd] if bwd < n else math.inf
             # x2 ~ d^a at a simple zero of H where a < 1: the quadrature
-            # of T maps d = L*w**(1/gamma)
-            gamma = af if hf == 1 and bf == 0.0 and af < 1.0 else 1.0
-            # fwd and move, the fields of Ends but T (y_forward, shrinks,
-            # type_one, ancient, ancient_type_one, y_backward), then the
-            # constants of T at the forward end; a start on a root never
-            # reads them, and its gamma may be negative
-            return (fwd, move, zf, zf > 0.0, zf > 0.0 or hf == 0, ancient,
-                    ancient and y_bwd > 0.0, y_bwd,
-                    gamma, (af - gamma) + (1.0 - hf), bf,
-                    float(np.log(gamma)) if gamma > 0.0 else math.nan)
+            # of T maps d = L*w**(1/gamma); a simple pole has b = 0.0, and
+            # a > 0 at a forward end, where x2 vanishes.  A start on a root
+            # has no quadrature, so its gamma is 1.0
+            gamma = min(af, 1.0) if hf == 1 and move else 1.0
+            # a start on a root r is a homothety from (r, 1), with T =
+            # -1/f2(r) formed with no r*r to underflow; a moving start's T
+            # is NaN here and computed per start
+            T = math.nan if move else 1 / (p.b0 - p.b1 * zf + p.bm2 / zf / zf)
+            # fwd and move, the fields of Ends (type_one always, see the
+            # module docstring), then the constants of T at the forward
+            # end, which a start on a root never reads
+            return (fwd, move, zf, zf > 0.0, True, ancient,
+                    ancient and y_bwd > 0.0, y_bwd, T, gamma,
+                    (af - gamma) + (1.0 - hf), bf, float(np.log(gamma)))
 
         # H < 0 for large y and changes sign at each root of odd order, so
         # it is positive where an odd number of them lie above y0; y moves
@@ -208,12 +216,12 @@ class YFlow:
                           for k, up in enumerate(rising)],
                         *[slot_row(k + 1, 0) for k in range(n - 1)]))
         self._fwd, self._move = np.array(cols[0]), np.array(cols[1])
-        # the fields of Ends but T, in order
-        self._verdicts = {name: np.array(col) for name, col in
-                          zip(Ends.__dataclass_fields__, cols[2:8])}
+        #: the Ends of each slot: every field of a start's Ends but the T
+        #: of a moving start, which ``ends_at`` computes
+        self.slot_ends = Ends(*(np.array(col) for col in cols[2:9]))
         # per slot: gamma, (a - gamma) + (1 - h), b and ln gamma at the
         # forward end, the constants of T that depend on it alone
-        self._forward_consts = np.array(cols[8:]).T
+        self._forward_consts = np.array(cols[9:]).T
 
     def log_x2(self, y):
         """Phi(y), the integral of f2/H up to a constant, so that
@@ -250,28 +258,21 @@ class YFlow:
         shrinks at y* rather than the fiber alone.
         """
         _, slot = self.locate(y0s)
-        return (self._fwd[slot], self._move[slot],
-                self._verdicts["shrinks"][slot])
+        return self._fwd[slot], self._move[slot], self.slot_ends.shrinks[slot]
 
     def run(self, y0s) -> Ends:
         """Both ends and the singular time of the flows from (y0, 1)."""
         return self.ends_at(*self.locate(y0s))
 
     def ends_at(self, y0: np.ndarray, slot: np.ndarray) -> Ends:
-        """``run`` of what ``locate`` returned: T per start, all else by slot."""
-        ends = {name: v[slot] for name, v in self._verdicts.items()}
-        move = self._move[slot]
-        T = np.empty(len(y0))
-        fixed = move == 0
-        if np.any(fixed):
-            # -1/f2(r) for the start (r, 1), with no r*r to underflow
-            zr, p = ends["y_forward"][fixed], self.c.planar
-            T[fixed] = 1.0 / (p.b0 - p.b1 * zr + p.bm2 / zr / zr)
-        moving = np.nonzero(move)[0]
+        """``run`` of what ``locate`` returned: T per moving start, all else
+        (and a fixed start's T) from ``slot_ends``."""
+        ends = Ends(*(v[slot] for v in vars(self.slot_ends).values()))
+        moving = np.nonzero(self._move[slot])[0]
         for lo in range(0, len(moving), CHUNK):
             rows = moving[lo:lo + CHUNK]
-            T[rows] = self._singular_time(y0[rows], slot[rows])
-        return Ends(**ends, T=T)
+            ends.T[rows] = self._singular_time(y0[rows], slot[rows])
+        return ends
 
     def _singular_time(self, y0: np.ndarray, slot: np.ndarray) -> np.ndarray:
         """T = integral of x2/|H| over y from y0 to the forward end.
@@ -298,14 +299,12 @@ class YFlow:
         L = np.abs(y0 - zs)
         lnH0 = math.log(-self.lead) + np.log(self._quad(y0))
         z, h, a, b = self.z, self.h, self.a, self.b
+        s = -self._move[slot]
+        cols, masks, points = [], [], []
+        # the zeros and the pole of H, the points of every term: h = 0 only
+        # at y = 0 where f2/H has no pole either, so a = b = 0 there
         for j in np.nonzero(h)[0]:
             lnH0 = lnH0 + h[j] * np.log(np.abs(y0 - z[j]))
-        s = -self._move[slot]
-        # one row per constant and one column per start, in the order
-        # _log_integrand reads them
-        cols = [gamma, k_ld, bs, np.log(L) - ln_gamma - lnH0, s * L]
-        masks, points = [], []
-        for j in np.nonzero((a != 0.0) | (b != 0.0) | (h != 0))[0]:
             skip = fwd == j
             if skip.all():
                 continue
@@ -317,13 +316,16 @@ class YFlow:
             points.append((a[j] - h[j], b[j], side, skip.any()))
             cols += [y0 - z[j], zs - z[j]]
             masks += [beyond, skip]
+        # one row per constant and one column per start, in the order
+        # _log_integrand reads them
+        cols = [gamma, k_ld, bs, np.log(L) - ln_gamma - lnH0, s * L, *cols]
         if self.pair is not None:
             g0, beta = y0 - self.pair.real, self.pair.imag
             cols += [g0, zs - self.pair.real, g0 * g0 + beta * beta]
         cols = np.array(cols)
         masks = np.array(masks, dtype=bool).reshape(len(masks), len(y0))
 
-        T = np.empty(len(y0))
+        T = np.full(len(y0), math.nan)
         total = np.zeros(len(y0))
         active = np.arange(len(y0))
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -340,9 +342,8 @@ class YFlow:
                         nodes, points, cols[:, active], masks[:, active]))
                 total[active] += E @ wt
                 est = total[active] * 2.0 ** -level
-                done = (np.abs(est - T[active]) <= QUAD_RTOL * np.abs(est)
-                        if level > FIRST_LEVEL
-                        else np.zeros(len(est), bool))
+                # the first level compares with NaN, so no start is done
+                done = np.abs(est - T[active]) <= QUAD_RTOL * np.abs(est)
                 T[active] = est
                 active = active[~done]
                 if not len(active):

@@ -64,8 +64,9 @@ def test_regime_rejects_fixed_directions(fix_a):
     es = h.einstein_roots(fix_a)
     with pytest.raises(OnEinsteinRoot):
         h.regime_of(fix_a, es, None, 1.0 + 1e-12)
-    with pytest.raises(ValueError):
-        h.regime_of(fix_a, es, None, -1.0)
+    for y0 in (-1.0, 0.0):
+        with pytest.raises(ValueError):
+            h.regime_of(fix_a, es, None, y0)
 
 
 def test_start_labels_match_regime_of():

@@ -1,5 +1,6 @@
 import ast
 import bisect
+import dataclasses
 import hashlib
 import json
 import math
@@ -73,6 +74,31 @@ def test_infinite_balance_is_refused(tmp_path, capsys):
     assert "summand 1: d*b = inf but" in capsys.readouterr().err
 
 
+#: 10**400 as an exact p/q entry, beyond the float range
+HUGE = "1" + "0" * 400 + "/1"
+
+
+def test_exact_entries_beyond_the_float_range_are_invalid_input(
+        tmp_path, capsys):
+    # FIX-A with b1 = 10**400.  Given c1 = 10**400 too, the first balance
+    # fails by 2*10**400, a magnitude written as null; back-solved, the
+    # table balances and validates, but C = 10**400 - 2 has no float
+    for c, ok in (([HUGE, "1/4"], False), (None, True)):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(_fix_a_with(b=[HUGE, 3], c=c)))
+        assert run_cli("validate", "--space", str(path)) == (0 if ok else 2)
+        payload = json.loads(capsys.readouterr().out,
+                             parse_constant=_no_constant)
+        assert [v["magnitude"] for v in payload["violations"]] == (
+            [] if ok else [None, 2.0])
+        for argv in (["einstein"], ["sweep", "--out", str(tmp_path)],
+                     ["blowup", "--y0", "0.5", "--out", str(tmp_path)]):
+            assert run_cli(argv[0], "--space", str(path), *argv[1:]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("invalid input: ")
+            assert ("exceeds the float range" in err) is ok
+
+
 def _no_constant(name):
     raise ValueError(f"{name} is not a JSON value")
 
@@ -110,6 +136,13 @@ def test_malformed_space_json_is_invalid_input(tmp_path, capsys, space):
 @pytest.mark.parametrize("space,rule", [
     pytest.param(INF_BALANCE, "killing-casimir-balance", id="infinite-balance"),
     pytest.param(_fix_a_with(b=[1, 3, 4]), "shape", id="shape"),
+    # d1*b1 = inf against a finite side: no tolerance accepts it
+    pytest.param(_fix_a_with(b=[1e308, 3]), "killing-casimir-balance",
+                 id="one-infinite-side"),
+    # b1 = -(largest float): its sign violation has that finite magnitude,
+    # and only the balance, whose side d1*b1 is -inf, is null
+    pytest.param(_fix_a_with(b=[-sys.float_info.max, 3]),
+                 "killing-casimir-balance", id="largest-float"),
 ])
 def test_validate_writes_null_for_a_magnitude_that_is_not_finite(
         tmp_path, capsys, space, rule):
@@ -158,6 +191,9 @@ def test_flow_rejects_bad_initial_data(tmp_path):
     assert run_cli("flow", "--space", "SU42", "--y0", "-1",
                    "--out", str(tmp_path)) == 2
     assert run_cli("flow", "--space", "SU42", "--out", str(tmp_path)) == 2
+    # --x1 needs --x2
+    assert run_cli("flow", "--space", "SU42", "--x1", "1",
+                   "--out", str(tmp_path)) == 2
 
 
 def test_portrait_su42(tmp_path):
@@ -397,7 +433,8 @@ def test_sweep_rows_start_by_start(tmp_path):
     assert fixed >= 20
 
 
-@pytest.mark.parametrize("y0_range", ["abc", "1", "1,2,3", "2,1", "0.1,inf"])
+@pytest.mark.parametrize("y0_range", ["abc", "1", "1,2,3", "2,1", "1,1",
+                                      "0,1", "0.1,inf"])
 def test_sweep_malformed_range_is_invalid_input(tmp_path, y0_range):
     assert run_cli("sweep", "--space", "FIX-A", "--y0-range", y0_range,
                    "--out", str(tmp_path)) == 2
@@ -411,6 +448,29 @@ def test_sweep_deterministic(tmp_path):
     run_cli(*args, "--out", str(tmp_path / "b"))
     assert (tmp_path / "a/SU42_sweep.csv").read_bytes() == \
         (tmp_path / "b/SU42_sweep.csv").read_bytes()
+
+
+def test_sweep_writes_a_row_that_disagrees_with_the_case_table(
+        tmp_path, monkeypatch):
+    # a case table that names the other collapse for every regime: each
+    # moving row then reads False, and a fixed row has no verdict
+    real = cli.predicted_report
+
+    def other_outcome(regime, es, c):
+        pred = real(regime, es, c)
+        flip = (h.Outcome.SHRINK_TO_POINT
+                if pred.outcome is h.Outcome.FIBER_COLLAPSE
+                else h.Outcome.FIBER_COLLAPSE)
+        return dataclasses.replace(pred, outcome=flip)
+
+    monkeypatch.setattr(cli, "predicted_report", other_outcome)
+    # FIX-A's grid holds both Einstein directions, 0.5 and 1
+    for name, moving in (("FIX-A", 7), ("SU42", 9)):
+        assert run_cli("sweep", "--space", name, "--y0-range", "0.25,4",
+                       "--count", "9", "--out", str(tmp_path)) == 0
+        rows = (tmp_path / f"{name}_sweep.csv").read_text().splitlines()[1:]
+        assert [row.rsplit(",", 1)[1] for row in rows
+                if ",fixed," not in row] == ["False"] * moving
 
 
 def test_sweep_single_row_matches_flow(tmp_path):
@@ -932,6 +992,21 @@ def test_space_json_ingestion(tmp_path):
                    "--out", str(tmp_path))
     assert code == 0
     assert (tmp_path / "FIX-A_y0_0.75_report.json").exists()
+
+
+def test_space_is_a_path_with_a_separator_or_a_json_name(tmp_path, capsys,
+                                                          monkeypatch):
+    # a path needs no .json, and a bare file name ending in .json is read
+    # from the working directory; anything else is a catalog name
+    h.dump_space(h.get_space("FIX-D"), str(tmp_path / "table"))
+    h.dump_space(h.get_space("FIX-D"), str(tmp_path / "t.json"))
+    monkeypatch.chdir(tmp_path)
+    for ref in (str(tmp_path / "table"), "t.json"):
+        capsys.readouterr()
+        assert run_cli("einstein", "--space", ref) == 0
+        assert json.loads(capsys.readouterr().out)["case"] == "d"
+    assert run_cli("einstein", "--space", "table") == 2
+    assert "unknown space 'table'" in capsys.readouterr().err
 
 
 def test_report_json_schema_frozen(tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import hrflow as h
-from hrflow.roots import real_roots
+from hrflow.roots import hybrid_root, real_roots
 
 from oracles import sweep_roots
 
@@ -55,6 +55,12 @@ def test_simple_roots_match_the_sweep(coeffs):
 
 def test_complex_pair_has_no_real_root():
     assert real_roots((1.0, 0.0, 1.0)) == []
+
+
+@pytest.mark.parametrize("lo,hi", [(1.0, 2.0), (0.0, 1.0)])
+def test_exact_zero_at_either_end_of_the_bracket(lo, hi):
+    # y^3 - 1 is exactly 0 at y = 1, which is returned with no bisection
+    assert hybrid_root((1.0, 0.0, 0.0, -1.0), lo, hi) == 1.0
 
 
 @pytest.mark.parametrize("coeffs", [(0.0, 1.0, 1.0), (0.0, 1.0, -2.0, 1.0)])

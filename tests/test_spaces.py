@@ -117,6 +117,9 @@ def test_coeff_constructors_guard_signs():
     with pytest.raises(PositivityViolation):
         h.MaxCoeffs(A1=-1.0, B1=0.5, C1=0.2, A2=3.5, B2=0.8, C2=0.5,
                     d1=2, d2=1)
+    with pytest.raises(SpaceModelError, match="must agree"):
+        # (d1/2)*A = 1 against (d2/4)*B = 1/2
+        h.NonMaxCoeffs(A=1, B=1, C=1, D=3, d1=2, d2=2)
     with pytest.raises(SpaceModelError):
         # cross-relation d2*B2 = 2*d1*C1 broken
         h.MaxCoeffs(A1=1.0, B1=0.5, C1=0.3, A2=3.5, B2=0.8, C2=0.5,

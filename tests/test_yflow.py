@@ -132,6 +132,12 @@ def test_homothety_time_on_tiny_einstein_directions():
     assert tiny >= 10
 
 
+@pytest.mark.parametrize("y0", [0.0, -1.0])
+def test_run_refuses_a_start_that_is_not_positive(fix_a, y0):
+    with pytest.raises(ValueError, match="positive"):
+        YFlow(fix_a, h.einstein_roots(fix_a)).run([0.5, y0])
+
+
 def test_engine_takes_zeros_of_h_from_einstein_set():
     # the points of the engine are y = 0 and the roots of es with their
     # multiplicities; H has a pole at 0 in the maximal kind and a simple
