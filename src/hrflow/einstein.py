@@ -12,12 +12,13 @@ read off directly.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import roots as rt
-from .errors import NotAnEinsteinRoot, SpaceModelError
+from .errors import NotAnEinsteinRoot, SpaceModelError, Undetermined
 from .spaces import Coefficients, MaxCoeffs
 
 #: refuse root-sensitive evaluations within this distance of a root
@@ -101,6 +102,11 @@ def einstein_roots(c: Coefficients) -> EinsteinSet:
             r = rt._newton_polish(poly, r, 0.0, math.inf)
         if r <= 0.0:
             raise AssertionError(f"nonpositive Einstein root {r} from {c}")
+        # a subnormal root has lost its low digits, so no residual test
+        # can confirm it
+        if r < sys.float_info.min:
+            raise Undetermined(f"Einstein direction {r} lies below the "
+                               "normal float range")
         # a quadratic's merged centre need not be a float root
         if (m == 1 or not quadratic) and not rt.residual_ok(poly, r):
             raise AssertionError(f"root residual too large at {r} for {c}")

@@ -304,22 +304,41 @@ def validate(space: GeneralSpace) -> ValidationReport:
                 for p, q, r in {(i, k, j), (j, i, k), (j, k, i),
                                 (k, i, j), (k, j, i)}:
                     w = space.t(p, q, r)
-                    if w is not v and not _close(v, w, BALANCE_RTOL):
+                    try:
+                        gap = None if w is v else _gap(v, w)
+                    except OverflowError:
+                        gap = math.nan
+                    if gap is not None:
                         bad.append(Violation(
                             "triple-symmetric",
                             f"[{i}{j}{k}] = {v} differs from [{p}{q}{r}] = {w}",
-                            abs(v - w)))
+                            gap))
 
     for i in range(1, l + 1):
-        lhs = space.d[i - 1] * space.b[i - 1]
-        rhs = 2 * space.d[i - 1] * space.c[i - 1] + space.triple_row_sum(i)
-        if not _close(lhs, rhs, BALANCE_RTOL):
+        try:
+            lhs = space.d[i - 1] * space.b[i - 1]
+            rhs = 2 * space.d[i - 1] * space.c[i - 1] + space.triple_row_sum(i)
+            gap = _gap(lhs, rhs)
+        except OverflowError:
             bad.append(Violation(
                 "killing-casimir-balance",
-                f"summand {i}: d*b = {lhs} but 2*d*c + sum[ijk] = {rhs}",
-                abs(lhs - rhs)))
+                f"summand {i}: a float entry meets an exact one beyond the "
+                "float range", math.nan))
+            continue
+        if gap is not None:
+            bad.append(Violation(
+                "killing-casimir-balance",
+                f"summand {i}: d*b = {lhs} but 2*d*c + sum[ijk] = {rhs}", gap))
 
     return ValidationReport(tuple(bad))
+
+
+def _gap(a: Number, b: Number) -> Number | None:
+    """|a - b| for the two sides of a rule, or None when they agree to
+    BALANCE_RTOL.  A float that meets an exact number beyond the float
+    range, here or in a side's sum, raises OverflowError: no float holds
+    the result, and ``validate`` records a magnitude of NaN."""
+    return None if _close(a, b, BALANCE_RTOL) else abs(a - b)
 
 
 def derive_coeffs(space: TwoSummandSpace) -> Coefficients:

@@ -46,6 +46,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,8 +63,9 @@ T_MAX = 3.5
 FIRST_LEVEL = 3
 LAST_LEVEL = 12
 QUAD_RTOL = 1e-14
-#: levels FIRST_LEVEL to JOINT_LEVEL are evaluated in one pass, since
-#: nearly every start needs them all
+#: levels FIRST_LEVEL to JOINT_LEVEL are evaluated in one pass: no start
+#: agrees before level 4, and a pass of its own for level 5, which many
+#: starts never need, costs more than it saves
 JOINT_LEVEL = 5
 #: starts evaluated together, which bounds the node arrays of one pass
 CHUNK = 32
@@ -89,6 +91,28 @@ class Ends:
     ancient_type_one: np.ndarray
     y_backward: np.ndarray
     T: np.ndarray
+
+
+class _Plan(NamedTuple):
+    """The constants of T for the starts of one moving slot.
+
+    At the forward end zs: the sign s of y0 - zs, gamma, the exponent k_ld
+    of d/L in the integrand, b and ln gamma.  ``take`` lists the rows of
+    ``_singular_time``'s per-start columns the slot reads.  Per other
+    point z of H, ``points`` holds a - h, b, whether z lies beyond the
+    forward end (else behind the start) and zs - z; ``pair_zz`` is
+    zs - Re(pair).
+    """
+
+    zs: float
+    s: int
+    gamma: float
+    k_ld: float
+    b: float
+    ln_gamma: float
+    take: np.ndarray
+    points: tuple
+    pair_zz: float | None
 
 
 def _deflate(coeffs: list, r: float) -> list:
@@ -180,32 +204,25 @@ class YFlow:
 
         # every verdict depends on the slot of a start alone (see
         # ``locate``), so each slot's row is decided here, in plain floats
-        z, h, a, b = (v.tolist() for v in (self.z, self.h, self.a, self.b))
+        z, h = self.z.tolist(), self.h.tolist()
         n = len(z)
 
         def slot_row(fwd, move):
-            zf, hf, af, bf = z[fwd], h[fwd], a[fwd], b[fwd]
+            zf = z[fwd]
             bwd = fwd - move
             # by the lemma, the type of each end decides: the space
             # shrinks at an Einstein direction, and the flow is ancient
             # from a zero of H (a start on a root has both ends there)
             ancient = bwd < n and h[bwd] >= 1
             y_bwd = z[bwd] if bwd < n else math.inf
-            # x2 ~ d^a at a simple zero of H where a < 1: the quadrature
-            # of T maps d = L*w**(1/gamma); a simple pole has b = 0.0, and
-            # a > 0 at a forward end, where x2 vanishes.  A start on a root
-            # has no quadrature, so its gamma is 1.0
-            gamma = min(af, 1.0) if hf == 1 and move else 1.0
             # a start on a root r is a homothety from (r, 1), with T =
             # -1/f2(r) formed with no r*r to underflow; a moving start's T
             # is NaN here and computed per start
             T = math.nan if move else 1 / (p.b0 - p.b1 * zf + p.bm2 / zf / zf)
-            # fwd and move, the fields of Ends (type_one always, see the
-            # module docstring), then the constants of T at the forward
-            # end, which a start on a root never reads
+            # fwd and move, then the fields of Ends (type_one always, see
+            # the module docstring)
             return (fwd, move, zf, zf > 0.0, True, ancient,
-                    ancient and y_bwd > 0.0, y_bwd, T, gamma,
-                    (af - gamma) + (1.0 - hf), bf, float(np.log(gamma)))
+                    ancient and y_bwd > 0.0, y_bwd, T)
 
         # H < 0 for large y and changes sign at each root of odd order, so
         # it is positive where an odd number of them lie above y0; y moves
@@ -218,10 +235,15 @@ class YFlow:
         self._fwd, self._move = np.array(cols[0]), np.array(cols[1])
         #: the Ends of each slot: every field of a start's Ends but the T
         #: of a moving start, which ``ends_at`` computes
-        self.slot_ends = Ends(*(np.array(col) for col in cols[2:9]))
-        # per slot: gamma, (a - gamma) + (1 - h), b and ln gamma at the
-        # forward end, the constants of T that depend on it alone
-        self._forward_consts = np.array(cols[9:]).T
+        self.slot_ends = Ends(*(np.array(col) for col in cols[2:]))
+        #: the zeros and the pole of H, the points of every term of T, each
+        #: as its index, z, h, a - h and b: h = 0 only at y = 0 where f2/H
+        #: has no pole either, so a = b = 0 there
+        a, b = self.a.tolist(), self.b.tolist()
+        self._points = [(j, z[j], h[j], a[j] - h[j], b[j])
+                        for j in range(n) if h[j]]
+        #: the ``_plan`` of each moving slot a start has asked for
+        self._plans = {}
 
     def log_x2(self, y):
         """Phi(y), the integral of f2/H up to a constant, so that
@@ -284,122 +306,149 @@ class YFlow:
         by cancellation.  A start whose levels have not agreed by
         LAST_LEVEL keeps its finest estimate.
 
-        What does not depend on the node is computed once for the starts
-        given (once per slot for their forward ends).  One pass evaluates
-        the nodes of levels FIRST_LEVEL to JOINT_LEVEL together, since
-        nearly every start needs them all; each later level is a pass of
-        its own over the starts whose levels have not yet agreed.  Each
-        level's sum is taken over its own nodes and the same starts either
-        way, so T does not depend on how the levels are grouped into
-        passes.
+        The integrand is evaluated one slot at a time, from the slot's
+        ``_plan`` and the columns of its starts, and its rows are written
+        back in the order of the starts given: ``E @ wt`` sums a row in an
+        order that depends on the rows around it, so each level's matrix is
+        the one all starts would make together.  One pass evaluates the
+        nodes of levels FIRST_LEVEL to JOINT_LEVEL together; each later
+        level is a pass of its own over the starts whose levels have not
+        yet agreed.  Each level's sum is taken over its own nodes and the
+        same starts either way, so T does not depend on how the levels are
+        grouped into passes.
         """
-        fwd = self._fwd[slot]
-        gamma, k_ld, bs, ln_gamma = self._forward_consts[slot].T
-        zs = self.z[fwd]
-        L = np.abs(y0 - zs)
-        lnH0 = math.log(-self.lead) + np.log(self._quad(y0))
-        z, h, a, b = self.z, self.h, self.a, self.b
-        s = -self._move[slot]
-        cols, masks, points = [], [], []
-        # the zeros and the pole of H, the points of every term: h = 0 only
-        # at y = 0 where f2/H has no pole either, so a = b = 0 there
-        for j in np.nonzero(h)[0]:
-            lnH0 = lnH0 + h[j] * np.log(np.abs(y0 - z[j]))
-            skip = fwd == j
-            if skip.all():
-                continue
-            # past the forward end, or behind the start; which it is for
-            # every start that does not end there decides the branch
-            beyond = (j - fwd) * s < 0
-            others = beyond[~skip]
-            side = 1 if others.all() else 0 if others.any() else -1
-            points.append((a[j] - h[j], b[j], side, skip.any()))
-            cols += [y0 - z[j], zs - z[j]]
-            masks += [beyond, skip]
-        # one row per constant and one column per start, in the order
-        # _log_integrand reads them
-        cols = [gamma, k_ld, bs, np.log(L) - ln_gamma - lnH0, s * L, *cols]
+        # one row each per start: ln|H(y0)|, y0, then y0 - z per point of
+        # H and, for a pair, y0 - Re(pair) and |y0 - pair|^2.  ln|H(y0)|
+        # adds the pair's term, then h*ln|y0 - z| per point, in that order
+        g0 = [y0 - z for _, z, *_ in self._points]
+        lnH0 = math.log(-self.lead)
         if self.pair is not None:
-            g0, beta = y0 - self.pair.real, self.pair.imag
-            cols += [g0, zs - self.pair.real, g0 * g0 + beta * beta]
-        cols = np.array(cols)
-        masks = np.array(masks, dtype=bool).reshape(len(masks), len(y0))
+            lnH0 = lnH0 + np.log(self._quad(y0))
+            gp, beta = y0 - self.pair.real, self.pair.imag
+            g0 += [gp, gp * gp + beta * beta]
+        for (_, _, h, *_), g in zip(self._points, g0):
+            lnH0 = lnH0 + h * np.log(np.abs(g))
+        per_start = np.array([lnH0, y0, *g0])
+        # per slot: its starts and the columns _log_integrand reads, made
+        # from rows 0 and 1: ln(L/gamma) - ln|H(y0)| and s*L
+        groups = []
+        for k in sorted(set(slot.tolist())):
+            rows = np.flatnonzero(slot == k)
+            plan = self._plan(k)
+            cols = per_start[plan.take, rows]
+            L = np.abs(cols[1] - plan.zs)
+            cols[0] = np.log(L) - plan.ln_gamma - cols[0]
+            cols[1] = plan.s * L
+            groups.append((rows, plan, cols))
 
         T = np.full(len(y0), math.nan)
-        total = np.zeros(len(y0))
-        active = np.arange(len(y0))
+        live = np.arange(len(y0))       # the starts not yet agreed
+        total, est = np.zeros(len(y0)), T[live]
         with np.errstate(divide="ignore", invalid="ignore"):
             *joint_nodes, starts = _joint_nodes()
-            joint = np.exp(self._log_integrand(joint_nodes, points, cols,
-                                               masks))
+            joint = np.empty((len(y0), starts[-1]))
+            for rows, plan, cols in groups:
+                joint[rows] = np.exp(self._log_integrand(joint_nodes, plan,
+                                                         cols))
             for level in range(FIRST_LEVEL, LAST_LEVEL + 1):
                 *nodes, wt = _nodes(level)
                 if level <= JOINT_LEVEL:
                     lo = starts[level - FIRST_LEVEL]
-                    E = joint[active, lo:lo + len(wt)]
+                    E = joint[live, lo:lo + len(wt)]
                 else:
-                    E = np.exp(self._log_integrand(
-                        nodes, points, cols[:, active], masks[:, active]))
-                total[active] += E @ wt
-                est = total[active] * 2.0 ** -level
+                    # a start's T is NaN until its levels agree (an estimate
+                    # that agrees is finite), so each slot keeps its starts
+                    # whose T is NaN
+                    E = np.empty((len(live), len(wt)))
+                    groups = [(rows[m], plan, cols[:, m])
+                              for rows, plan, cols in groups
+                              for m in [np.isnan(T[rows])] if m.any()]
+                    for rows, plan, cols in groups:
+                        E[np.searchsorted(live, rows)] = np.exp(
+                            self._log_integrand(nodes, plan, cols))
+                total += E @ wt
+                prev, est = est, total * 2.0 ** -level
                 # the first level compares with NaN, so no start is done
-                done = np.abs(est - T[active]) <= QUAD_RTOL * np.abs(est)
-                T[active] = est
-                active = active[~done]
-                if not len(active):
-                    break
+                done = np.abs(est - prev) <= QUAD_RTOL * np.abs(est)
+                if done.any():
+                    T[live[done]] = est[done]
+                    keep = ~done
+                    live, total, est = live[keep], total[keep], est[keep]
+                    if not len(live):
+                        break
+        T[live] = est
         return T
 
     def _quad(self, y):
         """|y - pair|^2, the factor of H the complex pair contributes."""
-        if self.pair is None:
-            return np.ones_like(y)
         return (y - self.pair.real) ** 2 + self.pair.imag ** 2
 
-    def _log_integrand(self, nodes, points, cols, masks):
+    def _plan(self, k: int) -> _Plan:
+        """The constants of T for the starts of moving slot k, made the
+        first time a start asks for them."""
+        if k in self._plans:
+            return self._plans[k]
+        fwd, s = int(self._fwd[k]), -int(self._move[k])
+        zs, hf, af, bf = (v[fwd].item() for v in (self.z, self.h, self.a,
+                                                   self.b))
+        # x2 ~ d^a at a simple zero of H where a < 1: the quadrature maps
+        # d = L*w**(1/gamma); a simple pole has b = 0.0, and a > 0 at a
+        # forward end, where x2 vanishes
+        gamma = min(af, 1.0) if hf == 1 else 1.0
+        # the rows of _singular_time's per-start columns the slot reads;
+        # every point but the forward end lies past it or behind the start
+        take, points = [0, 1], []
+        for row, (j, z, _, coef, b) in enumerate(self._points, 2):
+            if j != fwd:
+                take.append(row)
+                points.append((coef, b, (j - fwd) * s < 0, zs - z))
+        pair_zz = None
+        if self.pair is not None:
+            take += [2 + len(self._points), 3 + len(self._points)]
+            pair_zz = zs - self.pair.real
+        plan = self._plans[k] = _Plan(
+            zs, s, gamma, (af - gamma) + (1.0 - hf), bf, float(np.log(gamma)),
+            np.array(take)[:, None], tuple(points), pair_zz)
+        return plan
+
+    def _log_integrand(self, nodes, plan: _Plan, cols):
         """Log of the integrand at the nodes ln w, w, 1 - w (columns) for
-        each start (rows), from the constants ``_singular_time`` computed:
-        the rows of ``cols`` and ``masks``, read in the order they were
-        written, and per point of ``points`` its coefficients, the side of
-        the starts it lies on and whether it ends some of them."""
-        gamma, k_ld, bs, const, sL = cols[:5, :, None]
-        col, mask = iter(cols[5:, :, None]), iter(masks[:, :, None])
+        the starts of one slot (rows), from its ``plan`` and the columns
+        ``_singular_time`` made for them: ln(L/gamma) - ln|H(y0)|, s*L, y0 - z
+        per point of ``plan.points`` and, for a pair, y0 - Re(pair) and
+        |y0 - pair|^2."""
+        const, sL, *g0s = cols[:, :, None]
         ld, d_L, one_u = nodes          # ln(d / L), d / L, 1 - d / L
-        if not np.all(gamma == 1.0):    # else d = L*w, exactly the nodes'
-            ld = ld / gamma
+        if plan.gamma != 1.0:           # else d = L*w, exactly the nodes'
+            ld = ld / plan.gamma
             d_L, one_u = np.exp(ld), -np.expm1(ld)
         sd = sL * d_L                                # y - zs
         delta = -sL * one_u                          # y - y0
-        out = const + k_ld * ld
-        if np.any(bs != 0.0):
-            out = out - np.where(bs != 0.0, bs * one_u / sd, 0.0)
+        out = const + plan.k_ld * ld
+        if plan.b != 0.0:
+            out -= plan.b * one_u / sd
         # y - z is formed as a sum of two terms of one sign: (zs - z) + sd
         # for a point z beyond the end, g0 + delta for one behind the
         # start.  For a far start, g0 = y0 - z beyond the end is far larger
         # than y - z, and g0 + delta would lose the digits of y - z.
-        for coef, bj, side, ends_some in points:
-            g0, zz, beyond, skip = next(col), next(col), next(mask), next(mask)
-            if side > 0:
+        for (coef, bj, beyond, zz), g0 in zip(plan.points, g0s):
+            if beyond:
                 w = zz + sd
                 term = coef * np.log(w / g0)
-            elif side < 0:
-                w = g0 + delta
-                term = coef * np.log1p(delta / g0)
             else:
-                w = np.where(beyond, zz + sd, g0 + delta)
-                term = coef * np.where(beyond, np.log(w / g0),
-                                       np.log1p(delta / g0))
+                term = coef * np.log1p(delta / g0)
             if bj != 0.0:
-                term = term + bj * delta / (w * g0)
-            out = out + (np.where(skip, 0.0, term) if ends_some else term)
+                w = w if beyond else g0 + delta
+                term += bj * delta / (w * g0)
+            out += term
         if self.pair is not None:
             pa, beta = self.pair_a, self.pair.imag
             # w = y - Re(pair), whose rounding |y - pair| >= Im(pair) bounds
-            g0, zz, q0 = next(col), next(col), next(col)
-            w = zz + sd
-            out = out + (pa.real - 1.0) * np.log((w * w + beta * beta) / q0)
+            g0, q0 = g0s[-2:]
+            w = plan.pair_zz + sd
+            out += (pa.real - 1.0) * np.log((w * w + beta * beta) / q0)
             # the angle of (y - pair) / (y0 - pair)
-            out = out - 2.0 * pa.imag * np.arctan2(
+            out -= 2.0 * pa.imag * np.arctan2(
                 beta * delta, w * g0 + beta * beta)
         return out
 

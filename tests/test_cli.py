@@ -99,6 +99,65 @@ def test_exact_entries_beyond_the_float_range_are_invalid_input(
             assert ("exceeds the float range" in err) is ok
 
 
+def test_a_float_that_meets_an_exact_entry_beyond_the_float_range(
+        tmp_path, capsys):
+    # FIX-A with b1 = c1 = 10**400 and [122] = 4.5 as a float: the first
+    # balance sum adds the float to 10**400, which no float holds, and
+    # validate raised OverflowError (exit 1 and a traceback)
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(_fix_a_with(b=[HUGE, 3], c=[HUGE, "1/4"],
+                                           value=4.5)))
+    assert run_cli("validate", "--space", str(path)) == 2
+    payload = json.loads(capsys.readouterr().out, parse_constant=_no_constant)
+    assert payload["ok"] is False
+    assert [(v["rule"], v["magnitude"]) for v in payload["violations"]] == [
+        ("killing-casimir-balance", None), ("killing-casimir-balance", 1.0)]
+    for argv in (["einstein"], ["sweep", "--out", str(tmp_path)]):
+        assert run_cli(argv[0], "--space", str(path), *argv[1:]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: killing-casimir-balance: "
+                              "summand 1: a float entry meets an exact one")
+        assert err.count("\n") == 1
+
+
+def test_asymmetric_triple_beyond_the_float_range_is_a_violation():
+    # [122] exact beyond the float range, [212] a float: their difference
+    # has no float (against the exact [221] = 4 it is exact)
+    space = h.get_space("FIX-A")
+    triple = [[list(row) for row in plane] for plane in space.triple]
+    triple[0][1][1] = Fraction(10**400)
+    triple[1][0][1] = 4.0
+    bad = dataclasses.replace(space, triple=tuple(
+        tuple(tuple(row) for row in plane) for plane in triple))
+    report = h.validate(bad)
+    sym = [v for v in report.violations if v.rule == "triple-symmetric"]
+    assert [v.message for v in sym
+            if isinstance(v.magnitude, float) and math.isnan(v.magnitude)
+            ] == [f"[122] = {10**400} differs from [212] = 4.0"]
+
+
+def test_subnormal_einstein_direction_is_undetermined(tmp_path, capsys):
+    # C = 10**-290, D = 10**30: the lower Einstein direction C/D = 1e-320
+    # is subnormal, and einstein_roots' residual assertion refused it
+    # (exit 1 and a traceback)
+    one_plus = "1" + "0" * 289 + "1/1" + "0" * 290
+    space = {"name": "SUBNORMAL", "l": 2, "d": [1, 2],
+             "b": [one_plus, "1" + "0" * 30 + "/1"],
+             "triple": [{"i": 1, "j": 2, "k": 2, "value": "1/1"}]}
+    path = tmp_path / "subnormal.json"
+    path.write_text(json.dumps(space))
+    assert run_cli("validate", "--space", str(path)) == 0
+    c = h.derive_coeffs(h.load_space(str(path)))
+    assert (c.C, c.D) == (Fraction(1, 10**290), 10**30)
+    capsys.readouterr()
+    for argv in (["einstein"], ["sweep", "--out", str(tmp_path)]):
+        assert run_cli(argv[0], "--space", str(path), *argv[1:]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("undetermined: Einstein direction 1e-320 "
+                                "lies below the normal float range\n")
+
+
 def _no_constant(name):
     raise ValueError(f"{name} is not a JSON value")
 

@@ -403,8 +403,45 @@ def _ends_runs():
 
 
 def ends_digest() -> str:
+    return _digest(_ends_runs())
+
+
+def test_ends_digest():
+    assert ends_digest() == ENDS_DIGEST
+
+
+#: SHA-256 like ``ENDS_DIGEST`` over the inputs of ``_near_far_runs``,
+#: recorded and re-recorded the same way
+NEAR_FAR_DIGEST = (
+    'dcacf1a28504f803bb4f6590b819c9b7621ccc9adc592342d14303fa0e9f1cae')
+
+
+def _near_far_runs():
+    """One run per table and batch size, for the starts ``_ends_runs``
+    seldom draws: r*(1 +- 1e-8) and r*(1 +- 1e-3) on both sides of each
+    Einstein direction r (so one batch mixes slots that move up and down,
+    end at each root and pass the others on either side) and far starts
+    log-uniform in [1e8, 1e12].  The 8 fixtures and seeded random tables
+    of both kinds and of the a <-> C0 boundary; batches of 1, 7, 20 and 33
+    starts (the last spans two chunks) drawn from those starts."""
+    fixtures = [h.derive_coeffs(h.get_space(name)) for name in FIXTURES]
+    tables = [(c, h.einstein_roots(c)) for c in fixtures]
+    tables += [(c, es) for c, es, _ in random_starts(23, 40)]
+    tables += [(c, es) for c, es, _ in c0_boundary_starts(23, 20)]
+    rng = np.random.default_rng(23)
+    for c, es in tables:
+        engine = YFlow(c, es)
+        near = [r * (1.0 + e) for r in es.values
+                for e in (-1e-3, -1e-8, 1e-8, 1e-3)]
+        far = np.exp(rng.uniform(np.log(1e8), np.log(1e12), 8)).tolist()
+        pool = np.array(near + far)
+        for n in (1, 7, 20, 33):
+            yield engine.run(rng.choice(pool, n))
+
+
+def _digest(runs) -> str:
     digest = hashlib.sha256()
-    for ends in _ends_runs():
+    for ends in runs:
         for f in dataclasses.fields(ends):
             arr = np.ascontiguousarray(getattr(ends, f.name))
             digest.update(f"{f.name} {arr.dtype.str} {arr.shape}\n".encode())
@@ -412,9 +449,10 @@ def ends_digest() -> str:
     return digest.hexdigest()
 
 
-def test_ends_digest():
-    assert ends_digest() == ENDS_DIGEST
+def test_near_and_far_ends_digest():
+    assert _digest(_near_far_runs()) == NEAR_FAR_DIGEST
 
 
 if __name__ == "__main__":
     print(f"ENDS_DIGEST = {ends_digest()!r}")
+    print(f"NEAR_FAR_DIGEST = {_digest(_near_far_runs())!r}")
