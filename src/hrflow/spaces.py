@@ -395,10 +395,17 @@ def make_space(
         cs = []
         for i in range(1, l + 1):
             total: Number = 0
-            for j in range(l):
-                for k in range(l):
-                    total = total + triple[i - 1][j][k]
-            cs.append((d[i - 1] * b[i - 1] - total) / (2 * d[i - 1]))
+            # a float that meets an exact number beyond the float range
+            # overflows, as in validate's balance sums
+            try:
+                for j in range(l):
+                    for k in range(l):
+                        total = total + triple[i - 1][j][k]
+                cs.append((d[i - 1] * b[i - 1] - total) / (2 * d[i - 1]))
+            except OverflowError:
+                raise SpaceModelError(
+                    f"{name}: summand {i}: a float entry meets an exact one "
+                    "beyond the float range") from None
         c = tuple(cs)
     cls = TwoSummandSpace if l == 2 else GeneralSpace
     return cls(name=name, d=tuple(d), b=tuple(b), c=tuple(c), triple=triple)

@@ -31,7 +31,8 @@ would need A2/B2 < r < B1/A1, so A1*A2 < B1*B2, which no table meets
   agrees: ``real_roots`` gives a cubic an odd number of them);
 - the singular time T is the convergent integral of x2/|H| from y0 to y*,
   computed by tanh-sinh quadrature (Takahasi and Mori, 1974) with the
-  distance to y* kept exact, the level doubled until two levels agree.
+  distance to y* kept exact, the level doubled until two levels agree,
+  each level summed per start: T is the same alone and in any batch.
 
 Every verdict but T depends on a start's slot alone: the interval between
 Einstein directions it moves in, or the direction it sits on.  So a slot's
@@ -67,7 +68,8 @@ QUAD_RTOL = 1e-14
 #: agrees before level 4, and a pass of its own for level 5, which many
 #: starts never need, costs more than it saves
 JOINT_LEVEL = 5
-#: starts evaluated together, which bounds the node arrays of one pass
+#: starts evaluated together, which bounds the node arrays of one pass and
+#: changes no result
 CHUNK = 32
 
 
@@ -307,15 +309,14 @@ class YFlow:
         LAST_LEVEL keeps its finest estimate.
 
         The integrand is evaluated one slot at a time, from the slot's
-        ``_plan`` and the columns of its starts, and its rows are written
-        back in the order of the starts given: ``E @ wt`` sums a row in an
-        order that depends on the rows around it, so each level's matrix is
-        the one all starts would make together.  One pass evaluates the
-        nodes of levels FIRST_LEVEL to JOINT_LEVEL together; each later
-        level is a pass of its own over the starts whose levels have not
-        yet agreed.  Each level's sum is taken over its own nodes and the
-        same starts either way, so T does not depend on how the levels are
-        grouped into passes.
+        ``_plan`` and the columns of its starts.  Each level's sum is taken
+        row by row (``np.vecdot``), in an order fixed by the nodes alone, so
+        a start's T is the same alone, in any batch and in any order.  One
+        pass evaluates the nodes of levels FIRST_LEVEL to JOINT_LEVEL
+        together; each later level is a pass of its own over the starts
+        whose levels have not yet agreed.  Each level's sum is taken over
+        its own nodes either way, so T does not depend on how the levels
+        are grouped into passes.
         """
         # one row each per start: ln|H(y0)|, y0, then y0 - z per point of
         # H and, for a pair, y0 - Re(pair) and |y0 - pair|^2.  ln|H(y0)|
@@ -366,7 +367,7 @@ class YFlow:
                     for rows, plan, cols in groups:
                         E[np.searchsorted(live, rows)] = np.exp(
                             self._log_integrand(nodes, plan, cols))
-                total += E @ wt
+                total += np.vecdot(E, wt)
                 prev, est = est, total * 2.0 ** -level
                 # the first level compares with NaN, so no start is done
                 done = np.abs(est - prev) <= QUAD_RTOL * np.abs(est)

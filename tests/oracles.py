@@ -233,13 +233,12 @@ def per_start_verdicts(engine, y0s) -> dict:
     }
 
 
-def per_start_sweep_rows(engine, y0s: list[float], chunk: int) -> list[str]:
+def per_start_sweep_rows(engine, y0s: list[float]) -> list[str]:
     """The rows of ``hrflow sweep`` over ``y0s``, index included, each
-    built on its own: the verdicts from ``YFlow.run`` on the starts in
-    batches of ``chunk`` as the command runs them, the regime from
-    ``regime_of`` (a start on an Einstein direction gives a ``fixed`` row),
-    the match from ``predicted_report`` and every number from
-    format(v, ".17g")."""
+    built on its own: the verdicts and T from a one-start ``YFlow.run``,
+    the regime from ``regime_of`` (a start on an Einstein direction gives a
+    ``fixed`` row), the match from ``predicted_report`` and every number
+    from format(v, ".17g")."""
     from hrflow.classify import predicted_report, regime_of
     from hrflow.errors import OnEinsteinRoot
 
@@ -254,29 +253,28 @@ def per_start_sweep_rows(engine, y0s: list[float], chunk: int) -> list[str]:
     shrink = ("SimultaneousCollapse" if engine.c.planar.maximal
               else "ShrinkToPoint")
     rows = []
-    for lo in range(0, len(y0s), chunk):
-        ends = engine.run(y0s[lo:lo + chunk])
-        for i, y0 in enumerate(y0s[lo:lo + chunk]):
-            try:
-                regime = regime_of(engine.c, engine.es, None, y0)
-            except OnEinsteinRoot:
-                rows.append(f"{lo + i},{fmt(y0)},fixed" + "," * 7)
-                continue
-            outcome = shrink if ends.shrinks[i] else "FiberCollapse"
-            ancient = bool(ends.ancient[i])
-            kind = ("TypeI" if ends.ancient_type_one[i] else "TypeII") \
-                if ancient else ""
-            y_fwd = float(ends.y_forward[i])
-            y_bwd = float(ends.y_backward[i]) if ancient else None
-            pred = predicted_report(regime, engine.es, engine.c)
-            matches = (outcome == pred.outcome.value
-                       and near(y_fwd, pred.forward_y_limit)
-                       and ancient == pred.ancient_exists
-                       and kind == ("" if pred.ancient_type is None
-                                    else pred.ancient_type.value)
-                       and near(y_bwd, pred.backward_y_limit))
-            rows.append(",".join([
-                str(lo + i), fmt(y0), str(regime), outcome, fmt(ends.T[i]),
-                str(ancient), kind, fmt(y_fwd),
-                "" if y_bwd is None else fmt(y_bwd), str(matches)]))
+    for i, y0 in enumerate(y0s):
+        try:
+            regime = regime_of(engine.c, engine.es, None, y0)
+        except OnEinsteinRoot:
+            rows.append(f"{i},{fmt(y0)},fixed" + "," * 7)
+            continue
+        ends = engine.run([y0])
+        outcome = shrink if ends.shrinks[0] else "FiberCollapse"
+        ancient = bool(ends.ancient[0])
+        kind = ("TypeI" if ends.ancient_type_one[0] else "TypeII") \
+            if ancient else ""
+        y_fwd = float(ends.y_forward[0])
+        y_bwd = float(ends.y_backward[0]) if ancient else None
+        pred = predicted_report(regime, engine.es, engine.c)
+        matches = (outcome == pred.outcome.value
+                   and near(y_fwd, pred.forward_y_limit)
+                   and ancient == pred.ancient_exists
+                   and kind == ("" if pred.ancient_type is None
+                                else pred.ancient_type.value)
+                   and near(y_bwd, pred.backward_y_limit))
+        rows.append(",".join([
+            str(i), fmt(y0), str(regime), outcome, fmt(ends.T[0]),
+            str(ancient), kind, fmt(y_fwd),
+            "" if y_bwd is None else fmt(y_bwd), str(matches)]))
     return rows

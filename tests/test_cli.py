@@ -120,6 +120,21 @@ def test_a_float_that_meets_an_exact_entry_beyond_the_float_range(
         assert err.count("\n") == 1
 
 
+def test_back_solving_c_beyond_the_float_range_is_not_malformed(
+        tmp_path, capsys):
+    # FIX-A with b1 = 10**400 and [122] = 4.5 as a float, c back-solved:
+    # d1*b1 - 4.5 has no float, and the table was called malformed
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(_fix_a_with(b=[HUGE, 3], c=None, value=4.5)))
+    for argv in (["validate"], ["einstein"], ["sweep", "--out", str(tmp_path)]):
+        assert run_cli(argv[0], "--space", str(path), *argv[1:]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "invalid input: FIX-A: summand 1: a float entry meets an exact "
+            "one beyond the float range\n")
+
+
 def test_asymmetric_triple_beyond_the_float_range_is_a_violation():
     # [122] exact beyond the float range, [212] a float: their difference
     # has no float (against the exact [221] = 4 it is exact)
@@ -485,8 +500,7 @@ def test_sweep_rows_start_by_start(tmp_path):
                 "\n")
             assert rows.pop() == ""
             want = per_start_sweep_rows(
-                engine, _sweep_starts(mode, lo, hi, count, seed),
-                cli.SWEEP_CHUNK)
+                engine, _sweep_starts(mode, lo, hi, count, seed))
             assert rows == want, (name, mode, lo, hi, count)
             fixed += sum(",fixed," in row for row in rows)
     assert fixed >= 20
@@ -880,6 +894,20 @@ def test_sweep_row_is_the_flow_report(tmp_path):
         assert cells[3] == rep["forward_outcome"], (space, y0)
         assert float(cells[4]) == rep["T_estimate"], (space, y0)
         assert cells[5] == str(rep["ancient_exists"]), (space, y0)
+    # and each row of a 20-start random sweep gives blowup's T to the bit
+    rows = 0
+    for k, name in enumerate(SWEEP_FIXTURES):
+        out = tmp_path / f"random_{name}"
+        assert run_cli("sweep", "--space", name, "--mode", "random",
+                       "--count", "20", "--seed", str(k),
+                       "--y0-range", "0.05,20", "--out", str(out)) == 0
+        for row in (out / f"{name}_sweep.csv").read_text().splitlines()[1:]:
+            cells = row.split(",")
+            blow = _payload(tmp_path, "blowup", "--space", name,
+                            "--y0", cells[1])
+            assert float(cells[4]) == blow["T_estimate"], (name, row)
+            rows += 1
+    assert rows == 160
 
 
 def test_blowup_steps_no_trajectory(tmp_path, monkeypatch):

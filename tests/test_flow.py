@@ -384,7 +384,8 @@ def test_integrate_guards(su42, monkeypatch):
     # a start at the collapse threshold (in units of x2) has collapsed
     # already: its trajectory is the start row, and nothing is stepped
     monkeypatch.setattr(stepper, "run_adaptive", None)
-    for x1, x2 in ((1e-9, 1.0), (1e-6, 1e3)):
+    # (1e-8, 1.0) sits exactly on the default threshold
+    for x1, x2 in ((1e-9, 1.0), (1e-6, 1e3), (1e-8, 1.0)):
         for opts in (FWD, BWD):
             traj = h.integrate(su42, MetricState(0.0, x1, x2), opts)
             assert (traj.x1.tolist(), traj.x2.tolist()) == ([x1], [x2])
@@ -479,6 +480,8 @@ def test_irreducible_flow_round_sphere():
 def test_irreducible_flow_rejects_nonpositive_rate():
     with pytest.raises(NonpositiveC):
         h.irreducible_flow(b=1.0, d=2, t111=4.0, x0=1.0)
+    with pytest.raises(DomainError):
+        h.irreducible_flow(b=1.0, d=2, t111=0.0, x0=0)
 
 
 def test_simultaneous_collapse_label_maximal(fix_d):
@@ -492,7 +495,10 @@ def test_options_validation():
         IntegrationOptions(rel_tol=2.0)
     with pytest.raises(ValueError):
         IntegrationOptions(collapse_epsilon=-1.0)
-    for bad in (dict(max_time=math.inf), dict(max_time=-1.0),
+    # the tolerances lie in the open interval (0, 1), epsilon above 0
+    for bad in (dict(rel_tol=0.0), dict(rel_tol=1.0), dict(abs_tol=0.0),
+                dict(abs_tol=1.0), dict(collapse_epsilon=0.0),
+                dict(max_time=math.inf), dict(max_time=-1.0),
                 dict(max_time=0.0), dict(max_time=math.nan),
                 dict(max_steps=0), dict(max_steps=-3)):
         with pytest.raises(ValueError):

@@ -45,9 +45,9 @@ GOLDEN = {
     ('SU42', 'portrait'):
         '3fdaa7bd77b57f070d2bf933106026755d01fc99d8384520f66caa44a445ad1d',
     ('SU42', 'sweep-grid'):
-        '4456fbd132a24d164cc6f3a7cfc6ede4266c8270b5c76b1255eaa8b6ba03e1bc',
+        'fb37247b4c4d7f0ccaf31d689bfc6c11498e951974fc85fb0082b52cdcdc0f87',
     ('SU42', 'sweep-random'):
-        '6cc2d286ca17dc7902d49c5dc3f3a9869a9a6fec8dd277d3f4ca983492f94a66',
+        '65b81eac8d5366cb043c2e20cc277523f75d01e701d6d76aaf607f4e04c61fda',
     ('SU42', 'flow'):
         'b3bc7d8c76f88bda8c8c3ac5d43f1f9dfe1162e1651f4d9f80bb36f287900b83',
     ('SU42', 'blowup'):
@@ -57,9 +57,9 @@ GOLDEN = {
     ('FIX-A', 'portrait'):
         'd03e641ab28498470c4491a1fc3fadb327fad66269f74c2ff17f66fe53c5f2d1',
     ('FIX-A', 'sweep-grid'):
-        '25d036b7ecc16e24a01cfee6b65a81ab74119a718e10fa2f5f815ca7ae04dff7',
+        'abad6f4296facd85efed9328f0410b1260cfcf6f5f94260f4023cb9114e39f93',
     ('FIX-A', 'sweep-random'):
-        'bb749cf2deeb6332581da7a4621c3d6dc07d73ed6e615bb440ef3471fa7987f1',
+        '98ea67c9c216fcf90a877ccfc6da3ba5783b5dd0e7623c3cbf3c10d16ec41a9c',
     ('FIX-A', 'flow'):
         '9b2476e6e13e49b0de15bb6e2967785bcb9d1bd2a338dbcae2304520636b2b91',
     ('FIX-A', 'blowup'):
@@ -69,9 +69,9 @@ GOLDEN = {
     ('FIX-B', 'portrait'):
         'c79e84179878d1265a9b6532888314328770451ae8efe60ad8592522e3033754',
     ('FIX-B', 'sweep-grid'):
-        '12ccb04b896a50fa4ca52a0f553b1883698c18a3a41c0055d4926d9fdd1e9118',
+        'ef7dc6ada1c06645b53b75c412746792affe1f4d7d972e7227759e548e18a038',
     ('FIX-B', 'sweep-random'):
-        'cf8cd90c637ea7de641aa7fc5e8fdbe02368653c530cdab042ffe513e18a099c',
+        '450a3b62239e970f1f3aa2ce8235b3fdf194f787e00f51903f4e0e5ee8462e17',
     ('FIX-B', 'flow'):
         'b79c480d4aa34b9c7b681e3c144573ece6a4eed50f54f7f2d995980b530ce69e',
     ('FIX-B', 'blowup'):
@@ -81,9 +81,9 @@ GOLDEN = {
     ('FIX-C0', 'portrait'):
         '730c273991198b06c0561796cc391ced3e93688469c25303cf7376a119923382',
     ('FIX-C0', 'sweep-grid'):
-        '7b32e4fbe518be3d00838d070d44d734e6a40cb160530716e77c20ffa2d36344',
+        'd976ba8753aa2c89c180a8077c2230330cb2d1ae5f7934da7c81a4e09965a1c1',
     ('FIX-C0', 'sweep-random'):
-        'fc4473eb67b0b8282bca2ec67e1589c7059d0fca7e84949f5146748ee90d5587',
+        'e51e5667e9312d5efd500f93aa9399ea2c06f410e29c69590780d132a2b3d0f3',
     ('FIX-C0', 'flow'):
         '8fbfbf645a4da43ced25764b872aee4e899235f1165c7ebc94982c1c820652a8',
     ('FIX-C0', 'blowup'):
@@ -95,7 +95,7 @@ GOLDEN = {
     ('FIX-D', 'sweep-grid'):
         '0b04366f3b64042046a066be1301fa56ab69c40551e6dd83fad628bede27ace2',
     ('FIX-D', 'sweep-random'):
-        '3ccc850c9dee81dd42b0df5c8b652eb02793b4e7728914cc21a5fdafd39f8d1c',
+        '2c551374690e66902f49991fcd9d480b2eb175caef01520994ada40687001458',
     ('FIX-D', 'flow'):
         '865eab42877c61fea3c6b08da88862426575495d8e5ee80b9d05ef95467bc5e9',
     ('FIX-D', 'blowup'):
@@ -105,9 +105,9 @@ GOLDEN = {
     ('FIX-E', 'portrait'):
         '031fad9b1250acd41da1f164f81f465d63d2a8a4091533b003835b67592f1e22',
     ('FIX-E', 'sweep-grid'):
-        '0c5ffacd00652665fd7ab941e5935217cb8604a0a15d86424a090c9f27313aae',
+        '12706ddd6c39a4f8d260e744c3788a55769bea6f307ffdb587993365b9c26aad',
     ('FIX-E', 'sweep-random'):
-        'b179573e47dcb987f1a12cbe8a31b37d3cd45204d6b0e38acca764a6adccd6b2',
+        '5800caf26fbac43649cf74b55da95e7e2ee0f7686d9e181af977c9a3197f44a0',
     ('FIX-E', 'flow'):
         'a9b6f256976c8af0bce849e8f4b301dd4661fdf64aff3d403c6bdf5b257d706c',
     ('FIX-E', 'blowup'):
@@ -117,9 +117,9 @@ GOLDEN = {
     ('FIX-E2', 'portrait'):
         '12826b60bea0cb9a40b3c00a87737eb8897ad1e4437b41dd40ebec6bf1a1bf2e',
     ('FIX-E2', 'sweep-grid'):
-        '2ab155da9ce4e31ff7e053aab1050318a4b6424297f37cfacd4606f3d2ec4e14',
+        '4aea4b5c4263018164dde5883fe59916b92be880cd80378bfa4981a90b0e684e',
     ('FIX-E2', 'sweep-random'):
-        'e01d3c8b782061cfb87a7a89e032a698029b31685b472a138371b2a34e7f9abc',
+        '359b87642bea8271b0254d21254053fe77deec5700b1cccaf055c2f1a5ba6a38',
     ('FIX-E2', 'flow'):
         '264e8af722abb263ce2eb5814708133ab85796ff281321d7b8834d04c0ac73ae',
     ('FIX-E2', 'blowup'):
@@ -129,9 +129,9 @@ GOLDEN = {
     ('FIX-F', 'portrait'):
         '89effcc2cdd6b8a9bdef757753c1e8acbb9b20bbe3722323089fa6264dd3fdbe',
     ('FIX-F', 'sweep-grid'):
-        '2418b8b6e49c2a4a92726f39c0ebc71f858d0355d9cd874efa0cfc75200d61c8',
+        'ee3aee5315dcc530db24cdc16c7f81e817b26c56b9c6dea4c7f840a7be659e2e',
     ('FIX-F', 'sweep-random'):
-        'ef45aff16fd2920ce184bcafeaf2d3a428c38286ff71f0a0f0db24ef3a3b88ba',
+        '1a7f18d82d9ab3a015ddfd7a17e830c16a24c49346df40dc8e95e6ed708b48b4',
     ('FIX-F', 'flow'):
         '18d833069b353abbbee11b45f1062272f38ce30dbacc3d846187d7538f7bc602',
     ('FIX-F', 'blowup'):

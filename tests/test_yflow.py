@@ -15,7 +15,7 @@ from hrflow import classify, cli, flow, stepper
 from hrflow.blowup import limit_at
 from hrflow.classify import classify_starts
 from hrflow.flow import MetricState
-from hrflow.yflow import YFlow
+from hrflow.yflow import Ends, YFlow
 
 from oracles import (
     dop853_singular_time,
@@ -374,6 +374,26 @@ def test_fixed_direction_is_a_homothety(fix_a):
     assert ends.shrinks.all() and ends.ancient.all()
 
 
+def test_ends_do_not_depend_on_the_batch():
+    # the batch relation, bit for bit: every field of a start's Ends is the
+    # same in a batch of 20, in that batch reversed and alone
+    fixtures = [h.derive_coeffs(h.get_space(name)) for name in FIXTURES]
+    tables = [(c, h.einstein_roots(c)) for c in fixtures]
+    tables += [(c, es) for c, es, _ in random_starts(3, 100)]
+    tables += [(c, es) for c, es, _ in c0_boundary_starts(3, 20)]
+    rng = np.random.default_rng(3)
+    for c, es in tables:
+        engine = YFlow(c, es)
+        y0s = np.exp(rng.uniform(np.log(0.05), np.log(20.0), 20))
+        runs = [engine.run(y0s), engine.run(y0s[::-1])]
+        runs.append(Ends(*(np.concatenate(v) for v in zip(
+            *(vars(engine.run([y0])).values() for y0 in y0s)))))
+        for f in dataclasses.fields(Ends):
+            want, back, alone = (getattr(ends, f.name) for ends in runs)
+            assert want.tobytes() == back[::-1].tobytes() == \
+                alone.tobytes(), (f.name, es)
+
+
 #: SHA-256 over every field of ``YFlow.run`` on the inputs of
 #: ``_ends_runs``.  Like the goldens of test_golden.py it pins this
 #: platform's floating-point results: a rewrite of the engine that promises
@@ -382,7 +402,7 @@ def test_fixed_direction_is_a_homothety(fix_a):
 #:
 #:     PYTHONPATH=src python tests/test_yflow.py
 ENDS_DIGEST = (
-    '698cba2bec0a4183a1030b7395c33d06e8c59d7bcc4115fe1743256705bed002')
+    '5286fb74bc24bebe10d61d8b4d3d0c51f1de135edb02e69e6494cdbbfe47ee15')
 
 
 def _ends_runs():
@@ -413,7 +433,7 @@ def test_ends_digest():
 #: SHA-256 like ``ENDS_DIGEST`` over the inputs of ``_near_far_runs``,
 #: recorded and re-recorded the same way
 NEAR_FAR_DIGEST = (
-    'dcacf1a28504f803bb4f6590b819c9b7621ccc9adc592342d14303fa0e9f1cae')
+    'c12dde62dda1507c29391e7671ca38d5a4bbb8d8adccac51754e0a40dbaac654')
 
 
 def _near_far_runs():

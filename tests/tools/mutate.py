@@ -39,6 +39,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
 ENGINE = ("yflow", "classify", "einstein", "roots", "cli")
+#: the other modules ``--module`` may name
+OTHERS = ("flow", "stepper", "blowup", "spaces")
 #: seconds before a run counts as killed (tier-1 takes about 20)
 TIMEOUT_S = 600
 
@@ -165,7 +167,7 @@ def main(argv=None) -> int:
     ap.add_argument("--root", type=Path, default=ROOT,
                     help="checkout to mutate; default the one holding this "
                          "file")
-    ap.add_argument("--module", action="append", choices=ENGINE,
+    ap.add_argument("--module", action="append", choices=ENGINE + OTHERS,
                     help="repeatable; default all five engine modules")
     ap.add_argument("--jobs", type=int, default=1,
                     help="copies run side by side")
