@@ -107,5 +107,6 @@ def soliton_limit(traj: Trajectory) -> SolitonLimit:
     if traj.direction is not Direction.FORWARD:
         raise Unclassified("blow-up limits are read from forward trajectories")
     engine = traj.engine
-    end, _, shrinks = engine.forward_end(traj.y[:1])
-    return limit_at(engine.c, engine.z[end[0]], bool(shrinks[0]))
+    _, (slot,) = engine.locate(traj.y[:1])
+    end = engine.table[slot].ends
+    return limit_at(engine.c, end.y_forward, end.shrinks)

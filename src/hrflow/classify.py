@@ -206,23 +206,23 @@ def classify_starts(engine: YFlow, y0s, *,
 def slot_reports(engine: YFlow, slots, *,
                  backward: bool = True) -> dict[int, BehaviorReport]:
     """The behaviour report, T_estimate unset, of each distinct slot of
-    ``slots`` (from ``engine.locate``), read from ``engine.slot_ends``."""
+    ``slots`` (from ``engine.locate``), read from ``engine.table``."""
     regimes = slot_regimes(engine.es)
     shrink = _shrink_outcome(engine.c)
     t1, t2 = SingularType.TYPE_I, SingularType.TYPE_II
-    e = engine.slot_ends
     reports = {}
     for k in dict.fromkeys(slots.tolist()):
-        ancient = bool(e.ancient[k]) if backward else None
+        e = engine.table[k].ends
+        ancient = e.ancient if backward else None
         reports[k] = BehaviorReport(
             regime=regimes[k],
-            forward_outcome=shrink if e.shrinks[k] else Outcome.FIBER_COLLAPSE,
-            singular_type=t1 if e.type_one[k] else t2,
-            forward_y_limit=float(e.y_forward[k]),
+            forward_outcome=shrink if e.shrinks else Outcome.FIBER_COLLAPSE,
+            singular_type=t1 if e.type_one else t2,
+            forward_y_limit=e.y_forward,
             ancient_exists=ancient,
-            ancient_type=(t1 if e.ancient_type_one[k] else t2)
+            ancient_type=(t1 if e.ancient_type_one else t2)
             if ancient else None,
-            backward_y_limit=float(e.y_backward[k]) if ancient else None,
+            backward_y_limit=e.y_backward if ancient else None,
         )
     return reports
 

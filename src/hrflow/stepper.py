@@ -47,17 +47,16 @@ APPROACH_FACTOR = 0.15
 #: sample spacing per decade
 STEP_GROWTH_CAP = 0.1
 
-# Dormand-Prince 5(4) tableau
-_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = (
+# Dormand-Prince 5(4) tableau, row by row: the stage coefficients a21 to
+# a65, the weights b1 to b6 of the fifth-order solution and the weights
+# d1 to d7 of the error estimate
+_TABLEAU = (
+    1 / 5,
+    3 / 40, 9 / 40,
+    44 / 45, -56 / 15, 32 / 9,
+    19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729,
     9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656,
-)
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-_E1, _E3, _E4, _E5, _E6, _E7 = (
+    35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84,
     71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40,
 )
 
@@ -125,6 +124,13 @@ def run_adaptive(
     s = 0.0
     k11, k12 = f(x1, x2)
     ss, xs1, xs2 = [0.0], [x1], [x2]
+    # the loop reads locals, not module globals or attributes
+    push_s, push_x1, push_x2 = ss.append, xs1.append, xs2.append
+    (a21, a31, a32, a41, a42, a43, a51, a52, a53, a54, a61, a62, a63, a64,
+     a65, b1, b3, b4, b5, b6, d1, d3, d4, d5, d6, d7) = _TABLEAU
+    norm_guard, approach = NORM_GUARD, APPROACH_FACTOR
+    growth_cap, sqrt = STEP_GROWTH_CAP, math.sqrt
+    at_horizon = 1e-12 * (1.0 + horizon)
     n_steps = n_rejected = n_halved = 0
     event_coord = None
     stagnated = False
@@ -136,24 +142,24 @@ def run_adaptive(
         if n_steps >= max_steps:
             status = "step_limit"
             break
-        if horizon - s <= 1e-12 * (1.0 + horizon):
+        if horizon - s <= at_horizon:
             status = "horizon"
             break
         # Step ceiling: growth with elapsed time, the horizon, and a bounded
         # fraction of each shrinking coordinate.  `if c < h: h = c` is
         # min(h, c) for every float, NaN included.
-        c = STEP_GROWTH_CAP * (1.0 + s)
+        c = growth_cap * (1.0 + s)
         if c < h:
             h = c
         c = horizon - s
         if c < h:
             h = c
         if k11 < 0.0:
-            c = APPROACH_FACTOR * x1 / -k11
+            c = approach * x1 / -k11
             if c < h:
                 h = c
         if k12 < 0.0:
-            c = APPROACH_FACTOR * x2 / -k12
+            c = approach * x2 / -k12
             if c < h:
                 h = c
         if h <= 16 * 2.3e-16 * (1.0 + s):
@@ -171,71 +177,71 @@ def run_adaptive(
                 status = "step_limit"
                 break
             if ss[-1] != s:
-                ss.append(s)
-                xs1.append(x1)
-                xs2.append(x2)
+                push_s(s)
+                push_x1(x1)
+                push_x2(x2)
             status = "event"
             break
         n_steps += 1
 
         # Dormand-Prince stages; a stage or the step endpoint outside the
         # positive cone halves the step and retries it.
-        y1 = x1 + h * (_A21 * k11)
-        y2 = x2 + h * (_A21 * k12)
+        y1 = x1 + h * (a21 * k11)
+        y2 = x2 + h * (a21 * k12)
         if y1 <= 0.0 or y2 <= 0.0:
             n_halved += 1
             h *= 0.5
             continue
         k21, k22 = f(y1, y2)
 
-        y1 = x1 + h * (_A31 * k11 + _A32 * k21)
-        y2 = x2 + h * (_A31 * k12 + _A32 * k22)
+        y1 = x1 + h * (a31 * k11 + a32 * k21)
+        y2 = x2 + h * (a31 * k12 + a32 * k22)
         if y1 <= 0.0 or y2 <= 0.0:
             n_halved += 1
             h *= 0.5
             continue
         k31, k32 = f(y1, y2)
 
-        y1 = x1 + h * (_A41 * k11 + _A42 * k21 + _A43 * k31)
-        y2 = x2 + h * (_A41 * k12 + _A42 * k22 + _A43 * k32)
+        y1 = x1 + h * (a41 * k11 + a42 * k21 + a43 * k31)
+        y2 = x2 + h * (a41 * k12 + a42 * k22 + a43 * k32)
         if y1 <= 0.0 or y2 <= 0.0:
             n_halved += 1
             h *= 0.5
             continue
         k41, k42 = f(y1, y2)
 
-        y1 = x1 + h * (_A51 * k11 + _A52 * k21 + _A53 * k31 + _A54 * k41)
-        y2 = x2 + h * (_A51 * k12 + _A52 * k22 + _A53 * k32 + _A54 * k42)
+        y1 = x1 + h * (a51 * k11 + a52 * k21 + a53 * k31 + a54 * k41)
+        y2 = x2 + h * (a51 * k12 + a52 * k22 + a53 * k32 + a54 * k42)
         if y1 <= 0.0 or y2 <= 0.0:
             n_halved += 1
             h *= 0.5
             continue
         k51, k52 = f(y1, y2)
 
-        y1 = x1 + h * (_A61 * k11 + _A62 * k21 + _A63 * k31 + _A64 * k41 + _A65 * k51)
-        y2 = x2 + h * (_A61 * k12 + _A62 * k22 + _A63 * k32 + _A64 * k42 + _A65 * k52)
+        y1 = x1 + h * (a61 * k11 + a62 * k21 + a63 * k31 + a64 * k41 + a65 * k51)
+        y2 = x2 + h * (a61 * k12 + a62 * k22 + a63 * k32 + a64 * k42 + a65 * k52)
         if y1 <= 0.0 or y2 <= 0.0:
             n_halved += 1
             h *= 0.5
             continue
         k61, k62 = f(y1, y2)
 
-        n1 = x1 + h * (_B1 * k11 + _B3 * k31 + _B4 * k41 + _B5 * k51 + _B6 * k61)
-        n2 = x2 + h * (_B1 * k12 + _B3 * k32 + _B4 * k42 + _B5 * k52 + _B6 * k62)
+        n1 = x1 + h * (b1 * k11 + b3 * k31 + b4 * k41 + b5 * k51 + b6 * k61)
+        n2 = x2 + h * (b1 * k12 + b3 * k32 + b4 * k42 + b5 * k52 + b6 * k62)
         if n1 <= 0.0 or n2 <= 0.0:
             n_halved += 1
             h *= 0.5
             continue
         k71, k72 = f(n1, n2)
 
-        e1 = h * (_E1 * k11 + _E3 * k31 + _E4 * k41 + _E5 * k51 + _E6 * k61 + _E7 * k71)
-        e2 = h * (_E1 * k12 + _E3 * k32 + _E4 * k42 + _E5 * k52 + _E6 * k62 + _E7 * k72)
+        e1 = h * (d1 * k11 + d3 * k31 + d4 * k41 + d5 * k51 + d6 * k61 + d7 * k71)
+        e2 = h * (d1 * k12 + d3 * k32 + d4 * k42 + d5 * k52 + d6 * k62 + d7 * k72)
         # both states lie inside the positive cone, so no abs() is needed
         sc1 = atol + rtol * (x1 if x1 > n1 else n1)
         sc2 = atol + rtol * (x2 if x2 > n2 else n2)
         # keep `** 2`: libm's pow(x, 2) and x * x differ in the last bit
         # for some doubles, and the accepted steps would change with it
-        err = math.sqrt(0.5 * ((e1 / sc1) ** 2 + (e2 / sc2) ** 2))
+        err = sqrt(0.5 * ((e1 / sc1) ** 2 + (e2 / sc2) ** 2))
         if not err <= 1.0:
             if err != err:
                 raise DomainError(
@@ -245,24 +251,24 @@ def run_adaptive(
             h *= max(0.2, 0.9 * err ** -0.2)
             continue
 
-        if n1 > NORM_GUARD or n2 > NORM_GUARD:
+        if n1 > norm_guard or n2 > norm_guard:
             status = "runaway"
             break
         if n1 <= eps or n2 <= eps:
             s_ev, u_ev, f_ev = _locate_event(
                 f, s, (x1, x2), (k11, k12), (n1, n2), (k71, k72), h, eps)
-            ss.append(s_ev)
-            xs1.append(u_ev[0])
-            xs2.append(u_ev[1])
+            push_s(s_ev)
+            push_x1(u_ev[0])
+            push_x2(u_ev[1])
             return RawRun(ss, xs1, xs2, "event", f_ev, n_steps,
                           0 if u_ev[0] <= u_ev[1] else 1,
                           n_rejected, n_halved)
 
         s += h
         x1, x2, k11, k12 = n1, n2, k71, k72
-        ss.append(s)
-        xs1.append(x1)
-        xs2.append(x2)
+        push_s(s)
+        push_x1(x1)
+        push_x2(x2)
         h *= min(5.0, max(0.2, 0.9 * err ** -0.2)) if err > 0.0 else 5.0
 
     return RawRun(ss, xs1, xs2, status, (k11, k12), n_steps, event_coord,

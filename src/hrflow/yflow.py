@@ -35,8 +35,8 @@ would need A2/B2 < r < B1/A1, so A1*A2 < B1*B2, which no table meets
   each level summed per start: T is the same alone and in any batch.
 
 Every verdict but T depends on a start's slot alone: the interval between
-Einstein directions it moves in, or the direction it sits on.  So a slot's
-``Ends``, a homothety's T included, are decided once per space.
+Einstein directions it moves in, or the direction it sits on.  So each
+slot's ``Ends`` (``slot_row``) and plan of T are made once per space.
 
 Only numpy and scalar arithmetic are used: the complex pair comes from
 deflating the known real zeros, never from an eigenvalue solver.
@@ -75,7 +75,7 @@ CHUNK = 32
 
 @dataclass(frozen=True)
 class Ends:
-    """Both ends of the flows from (x1, x2) = (y0, 1), one entry per start.
+    """Both ends of the flows from (x1, x2) = (y0, 1), per start or slot.
 
     ``y_forward`` is the ratio at the singular time, ``shrinks`` whether
     x2 (and so the whole space) vanishes there rather than x1 alone, and
@@ -95,19 +95,27 @@ class Ends:
     T: np.ndarray
 
 
+def slot_row(zf: float, hf: int, move: int, zb: float, hb: int,
+             b0: float, b1: float, bm2: float) -> Ends:
+    """The ``Ends`` of a slot, in plain values, from its ends alone, by the
+    rules of the module docstring: the forward end zf and the order hf of
+    H's zero there (-1 at the maximal pole), the direction ``move`` (0 on
+    an Einstein direction), the backward end zb (inf past the last root)
+    and its order hb, and f2's b0, b1, bm2 for a homothety's T = -1/f2(zf),
+    formed with no zf*zf; a moving slot's T is NaN, computed per start."""
+    ancient = hb >= 1
+    T = math.nan if move else 1 / (b0 - b1 * zf + bm2 / zf / zf)
+    return Ends(zf, zf > 0.0, zf > 0.0 or hf == 0, ancient,
+                ancient and zb > 0.0, zb, T)
+
+
 class _Plan(NamedTuple):
-    """The constants of T for the starts of one moving slot.
+    """The constants of T for the starts of a moving slot that ends at zs:
+    gamma, the exponent k_ld of d/L in the integrand, b and ln gamma there;
+    the rows ``take`` of ``_singular_time``'s per-start columns it reads;
+    per other point z of H, a - h, b, whether z lies beyond the forward end
+    (else behind the start) and zs - z; and zs - Re(pair), if any."""
 
-    At the forward end zs: the sign s of y0 - zs, gamma, the exponent k_ld
-    of d/L in the integrand, b and ln gamma.  ``take`` lists the rows of
-    ``_singular_time``'s per-start columns the slot reads.  Per other
-    point z of H, ``points`` holds a - h, b, whether z lies beyond the
-    forward end (else behind the start) and zs - z; ``pair_zz`` is
-    zs - Re(pair).
-    """
-
-    zs: float
-    s: int
     gamma: float
     k_ld: float
     b: float
@@ -115,6 +123,16 @@ class _Plan(NamedTuple):
     take: np.ndarray
     points: tuple
     pair_zz: float | None
+
+
+class Slot(NamedTuple):
+    """One entry of ``YFlow.table``: the forward end's index into z, the
+    direction (+1, -1, 0), the ``slot_row`` and a moving slot's ``_Plan``."""
+
+    fwd: int
+    move: int
+    ends: Ends
+    plan: _Plan | None
 
 
 def _deflate(coeffs: list, r: float) -> list:
@@ -134,8 +152,8 @@ class YFlow:
     there (at y = 0: -1 for the pole of the maximal kind, 1 in family C0,
     else 0), and the coefficients ``a`` of 1/(y - z) and ``b`` of
     1/(y - z)^2 in f2/H.  It keeps the coefficients ``c`` and the Einstein
-    set ``es`` (which places the starts) it was built from; a root of
-    order above two is undetermined.
+    set ``es`` it was built from, and a ``Slot`` per slot in ``table``; a
+    root of order above two is undetermined.
     """
 
     def __init__(self, c: Coefficients, es: EinsteinSet):
@@ -189,63 +207,70 @@ class YFlow:
                 dg = (eval_poly(dnum, z) - eval_poly(num, z) * dlog) / den
                 coef.append((dg, g))
 
-        self.z = np.array([0.0] + [r for r, _ in es.roots])
-        self.h = np.array([h0] + [m for _, m in es.roots])
-        self.a = np.zeros(len(self.z))
-        self.b = np.zeros(len(self.z))
+        z = [0.0] + [r for r, _ in es.roots]
+        h = [h0] + [m for _, m in es.roots]
+        n = len(z)
+        a, b = [0.0] * n, [0.0] * n
         # the real poles are the last points of z, in order (y = 0 only
         # when f2/H has a pole there)
         real = coef[:len(coef) - 2] if pair is not None else coef
-        for j, (ac, bc) in enumerate(real, len(self.z) - len(real)):
-            self.a[j], self.b[j] = ac.real, bc.real
+        for j, (ac, bc) in enumerate(real, n - len(real)):
+            a[j], b[j] = ac.real, bc.real
+        self.z, self.h, self.a, self.b = map(np.array, (z, h, a, b))
         self.pair = pair
         self.pair_a = coef[-2][0] if pair is not None else 0j
         self.lead = lead
         self.c = c
         self.es = es
-
-        # every verdict depends on the slot of a start alone (see
-        # ``locate``), so each slot's row is decided here, in plain floats
-        z, h = self.z.tolist(), self.h.tolist()
-        n = len(z)
-
-        def slot_row(fwd, move):
-            zf = z[fwd]
-            bwd = fwd - move
-            # by the lemma, the type of each end decides: the space
-            # shrinks at an Einstein direction, and the flow is ancient
-            # from a zero of H (a start on a root has both ends there)
-            ancient = bwd < n and h[bwd] >= 1
-            y_bwd = z[bwd] if bwd < n else math.inf
-            # a start on a root r is a homothety from (r, 1), with T =
-            # -1/f2(r) formed with no r*r to underflow; a moving start's T
-            # is NaN here and computed per start
-            T = math.nan if move else 1 / (p.b0 - p.b1 * zf + p.bm2 / zf / zf)
-            # fwd and move, then the fields of Ends (type_one always, see
-            # the module docstring)
-            return (fwd, move, zf, zf > 0.0, True, ancient,
-                    ancient and y_bwd > 0.0, y_bwd, T)
+        #: the zeros and the pole of H, the points of every term of T, each
+        #: as its index, z, h, a - h and b: h = 0 only at y = 0 where f2/H
+        #: has no pole either, so a = b = 0 there
+        self._points = [(j, z[j], h[j], a[j] - h[j], b[j])
+                        for j in range(n) if h[j]]
 
         # H < 0 for large y and changes sign at each root of odd order, so
         # it is positive where an odd number of them lie above y0; y moves
         # up to the next point while H > 0, else down to z[below].  A start
         # on an Einstein direction stays there: a homothety
         rising = [sum(m % 2 for m in h[k + 1:]) % 2 for k in range(n)]
-        cols = list(zip(*[slot_row(k + up, 2 * up - 1)
-                          for k, up in enumerate(rising)],
-                        *[slot_row(k + 1, 0) for k in range(n - 1)]))
-        self._fwd, self._move = np.array(cols[0]), np.array(cols[1])
-        #: the Ends of each slot: every field of a start's Ends but the T
-        #: of a moving start, which ``ends_at`` computes
-        self.slot_ends = Ends(*(np.array(col) for col in cols[2:]))
-        #: the zeros and the pole of H, the points of every term of T, each
-        #: as its index, z, h, a - h and b: h = 0 only at y = 0 where f2/H
-        #: has no pole either, so a = b = 0 there
-        a, b = self.a.tolist(), self.b.tolist()
-        self._points = [(j, z[j], h[j], a[j] - h[j], b[j])
-                        for j in range(n) if h[j]]
-        #: the ``_plan`` of each moving slot a start has asked for
-        self._plans = {}
+        ends = [(k + up, 2 * up - 1) for k, up in enumerate(rising)]
+        ends += [(k, 0) for k in range(1, n)]
+        #: one ``Slot`` per slot of ``locate``, in plain Python values:
+        #: every verdict depends on the slot of a start alone
+        self.table = []
+        # a pair's two rows are the last of _singular_time's columns
+        pair_rows = [] if pair is None else [-2, -1]
+        for fwd, move in ends:
+            bwd = fwd - move
+            back = (z[bwd], h[bwd]) if bwd < n else (math.inf, 0)
+            row = slot_row(z[fwd], h[fwd], move, *back, p.b0, p.b1, p.bm2)
+            plan = None
+            if move:
+                zs, af = z[fwd], a[fwd]
+                # x2 ~ d^a at a simple zero of H where a < 1: the quadrature
+                # maps d = L*w**(1/gamma); a simple pole has b = 0.0, and
+                # a > 0 at a forward end, where x2 vanishes
+                gamma = min(af, 1.0) if h[fwd] == 1 else 1.0
+                # the rows of _singular_time's per-start columns the slot
+                # reads; every point but the forward end lies past it or
+                # behind the start
+                take, points = [0, 1], []
+                for i, (j, zj, _, ahj, bj) in enumerate(self._points, 2):
+                    if j != fwd:
+                        take.append(i)
+                        points.append((ahj, bj, (j - fwd) * move > 0,
+                                       zs - zj))
+                plan = _Plan(gamma, (af - gamma) + (1.0 - h[fwd]), b[fwd],
+                             float(np.log(gamma)),
+                             np.array(take + pair_rows)[:, None],
+                             tuple(points),
+                             None if pair is None else zs - pair.real)
+            self.table.append(Slot(fwd, move, row, plan))
+        #: the table's rows and moves as arrays, which ``ends_at`` gathers
+        #: per start
+        self.slot_ends = Ends(*map(np.array, zip(
+            *(vars(s.ends).values() for s in self.table))))
+        self._move = np.array([s.move for s in self.table])
 
     def log_x2(self, y):
         """Phi(y), the integral of f2/H up to a constant, so that
@@ -273,24 +298,14 @@ class YFlow:
         below, on = self.es.locate(y0)
         return y0, np.where(on >= 0, len(self.z) + on, below)
 
-    def forward_end(self, y0s):
-        """The forward end of the flows from (y0, 1), with no quadrature.
-
-        Per start: the index into ``z`` of the ratio y* at the singular
-        time, the direction y moves (+1 up, -1 down, 0 for a start on an
-        Einstein direction, which stays there) and whether the whole space
-        shrinks at y* rather than the fiber alone.
-        """
-        _, slot = self.locate(y0s)
-        return self._fwd[slot], self._move[slot], self.slot_ends.shrinks[slot]
-
     def run(self, y0s) -> Ends:
         """Both ends and the singular time of the flows from (y0, 1)."""
         return self.ends_at(*self.locate(y0s))
 
     def ends_at(self, y0: np.ndarray, slot: np.ndarray) -> Ends:
-        """``run`` of what ``locate`` returned: T per moving start, all else
-        (and a fixed start's T) from ``slot_ends``."""
+        """``run`` of what ``locate`` returned: each start's row of
+        ``slot_ends``, the table's rows gathered per start, and T computed
+        for the starts of a moving slot (a fixed start's T is its row's)."""
         ends = Ends(*(v[slot] for v in vars(self.slot_ends).values()))
         moving = np.nonzero(self._move[slot])[0]
         for lo in range(0, len(moving), CHUNK):
@@ -308,15 +323,15 @@ class YFlow:
         by cancellation.  A start whose levels have not agreed by
         LAST_LEVEL keeps its finest estimate.
 
-        The integrand is evaluated one slot at a time, from the slot's
-        ``_plan`` and the columns of its starts.  Each level's sum is taken
-        row by row (``np.vecdot``), in an order fixed by the nodes alone, so
-        a start's T is the same alone, in any batch and in any order.  One
-        pass evaluates the nodes of levels FIRST_LEVEL to JOINT_LEVEL
-        together; each later level is a pass of its own over the starts
-        whose levels have not yet agreed.  Each level's sum is taken over
-        its own nodes either way, so T does not depend on how the levels
-        are grouped into passes.
+        The integrand is evaluated one slot at a time, from the ``_Plan``
+        that ``table`` holds for the slot and the columns of its starts.
+        Each level's sum is taken row by row (``np.vecdot``), in an order
+        fixed by the nodes alone, so a start's T is the same alone, in any
+        batch and in any order.  One pass evaluates the nodes of levels
+        FIRST_LEVEL to JOINT_LEVEL together; each later level is a pass of
+        its own over the starts whose levels have not yet agreed.  Each
+        level's sum is taken over its own nodes either way, so T does not
+        depend on how the levels are grouped into passes.
         """
         # one row each per start: ln|H(y0)|, y0, then y0 - z per point of
         # H and, for a pair, y0 - Re(pair) and |y0 - pair|^2.  ln|H(y0)|
@@ -335,11 +350,11 @@ class YFlow:
         groups = []
         for k in sorted(set(slot.tolist())):
             rows = np.flatnonzero(slot == k)
-            plan = self._plan(k)
+            _, move, end, plan = self.table[k]
             cols = per_start[plan.take, rows]
-            L = np.abs(cols[1] - plan.zs)
+            L = np.abs(cols[1] - end.y_forward)
             cols[0] = np.log(L) - plan.ln_gamma - cols[0]
-            cols[1] = plan.s * L
+            cols[1] = -move * L
             groups.append((rows, plan, cols))
 
         T = np.full(len(y0), math.nan)
@@ -383,34 +398,6 @@ class YFlow:
     def _quad(self, y):
         """|y - pair|^2, the factor of H the complex pair contributes."""
         return (y - self.pair.real) ** 2 + self.pair.imag ** 2
-
-    def _plan(self, k: int) -> _Plan:
-        """The constants of T for the starts of moving slot k, made the
-        first time a start asks for them."""
-        if k in self._plans:
-            return self._plans[k]
-        fwd, s = int(self._fwd[k]), -int(self._move[k])
-        zs, hf, af, bf = (v[fwd].item() for v in (self.z, self.h, self.a,
-                                                   self.b))
-        # x2 ~ d^a at a simple zero of H where a < 1: the quadrature maps
-        # d = L*w**(1/gamma); a simple pole has b = 0.0, and a > 0 at a
-        # forward end, where x2 vanishes
-        gamma = min(af, 1.0) if hf == 1 else 1.0
-        # the rows of _singular_time's per-start columns the slot reads;
-        # every point but the forward end lies past it or behind the start
-        take, points = [0, 1], []
-        for row, (j, z, _, coef, b) in enumerate(self._points, 2):
-            if j != fwd:
-                take.append(row)
-                points.append((coef, b, (j - fwd) * s < 0, zs - z))
-        pair_zz = None
-        if self.pair is not None:
-            take += [2 + len(self._points), 3 + len(self._points)]
-            pair_zz = zs - self.pair.real
-        plan = self._plans[k] = _Plan(
-            zs, s, gamma, (af - gamma) + (1.0 - hf), bf, float(np.log(gamma)),
-            np.array(take)[:, None], tuple(points), pair_zz)
-        return plan
 
     def _log_integrand(self, nodes, plan: _Plan, cols):
         """Log of the integrand at the nodes ln w, w, 1 - w (columns) for

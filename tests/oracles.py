@@ -196,11 +196,12 @@ def per_cell_csv(traj) -> str:
 
 
 def per_start_verdicts(engine, y0s) -> dict:
-    """Every verdict of ``YFlow.forward_end`` and ``YFlow.run`` decided
-    start by start from the engine's points ``z``, orders ``h`` and
-    coefficients ``a``, ``b`` and ``pair_a``: the per-start residue
-    formulas the engine used before it decided each verdict from the
-    type of an end, kept as the independent reference for that rule."""
+    """Every verdict of ``YFlow.table`` at the starts' slots (``fwd``,
+    ``move``, ``shrinks``) and of ``YFlow.run``, decided start by start
+    from the engine's points ``z``, orders ``h`` and coefficients ``a``,
+    ``b`` and ``pair_a``: the per-start residue formulas the engine used
+    before ``slot_row`` decided each verdict from the type of an end, kept
+    as the independent reference for that rule."""
     y0 = np.asarray(y0s, dtype=float).ravel()
     z, h, a, b = engine.z, engine.h, engine.a, engine.b
     below, on = engine.es.locate(y0)

@@ -4,6 +4,7 @@ DOP853 on the planar system for the singular time, and the case table of
 
 import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -11,11 +12,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hrflow as h
-from hrflow import classify, cli, flow, stepper
+from hrflow import classify, cli, flow, stepper, yflow
 from hrflow.blowup import limit_at
 from hrflow.classify import classify_starts
 from hrflow.flow import MetricState
-from hrflow.yflow import Ends, YFlow
+from hrflow.yflow import Ends, YFlow, slot_row
 
 from oracles import (
     dop853_singular_time,
@@ -75,11 +76,12 @@ def _starts_everywhere(es) -> list[float]:
 
 
 def test_verdicts_against_per_start_oracle():
-    # every verdict field of forward_end and run equals the per-start
-    # formulas, dtype included, on starts in every interval and on every
-    # Einstein direction of the fixtures and the seeded draws.  T is not
-    # compared here; test_homothety_time_on_tiny_einstein_directions
-    # checks it on the directions
+    # every verdict field of the slot table at locate's slots and of run
+    # equals the per-start formulas, dtype included, on starts in every
+    # interval and on every Einstein direction of the fixtures and the
+    # seeded draws.  T is not compared here;
+    # test_homothety_time_on_tiny_einstein_directions checks it on the
+    # directions
     fixtures = [h.derive_coeffs(h.get_space(name)) for name in FIXTURES]
     cases = [(c, h.einstein_roots(c), []) for c in fixtures]
     cases += [(c, es, [y0]) for c, es, y0 in random_starts(19, 120)]
@@ -90,7 +92,10 @@ def test_verdicts_against_per_start_oracle():
         y0s = [*y0s, *_starts_everywhere(es)]
         want = per_start_verdicts(engine, y0s)
         ends = engine.run(y0s)
-        got = dict(zip(("fwd", "move", "shrinks"), engine.forward_end(y0s)))
+        table = [engine.table[k] for k in engine.locate(y0s)[1].tolist()]
+        got = {"fwd": np.array([s.fwd for s in table]),
+               "move": np.array([s.move for s in table]),
+               "shrinks": np.array([s.ends.shrinks for s in table])}
         got |= {f.name: getattr(ends, f.name)
                 for f in dataclasses.fields(ends) if f.name != "T"}
         assert got.keys() == want.keys()
@@ -100,6 +105,62 @@ def test_verdicts_against_per_start_oracle():
         fixed += int((want["move"] == 0).sum())
         moving += int((want["move"] != 0).sum())
     assert fixed > 300 and moving > 1000
+
+
+#: one slot per type of end: fixture, regime, the forward end and its
+#: order, the direction, the backward end and its order; an end is 0 for
+#: y = 0, k for the k-th Einstein direction or -1 for infinity
+END_TYPES = [
+    ("FIX-A", "a1", 0, 0, -1, 1, 1),     # forward at y = 0, H finite
+    ("FIX-A", "a2", 2, 1, 1, 1, 1),      # forward and backward at roots
+    ("FIX-A", "a3", 2, 1, -1, -1, 0),    # backward at infinity
+    ("FIX-B", "b1", 0, 0, -1, 1, 2),     # backward at a double root
+    ("FIX-B", "b2", 1, 2, -1, -1, 0),    # forward at a double root
+    ("FIX-C0", "C0/below", 1, 1, 1, 0, 1),   # backward at the zero y = 0
+    ("FIX-D", "d1", 1, 1, 1, 0, -1),     # backward at the maximal pole
+    ("FIX-E2", "e4", 1, 2, 1, 0, -1),    # forward at a double root
+]
+
+
+@pytest.mark.parametrize("name, regime, fwd, hf, move, bwd, hb", END_TYPES)
+def test_slot_row_at_every_end_type(name, regime, fwd, hf, move, bwd, hb):
+    # the pure function of a slot's ends gives the case table's row, and
+    # the engine's table holds exactly that row for the slot
+    c = h.derive_coeffs(h.get_space(name))
+    es, p = h.einstein_roots(c), c.planar
+    ends = [0.0, *es.values, math.inf]
+    row = slot_row(ends[fwd], hf, move, ends[bwd], hb, p.b0, p.b1, p.bm2)
+    pred = classify.predicted_report(
+        next(r for r in classify.slot_regimes(es) if str(r) == regime), es, c)
+    shrink = classify._shrink_outcome(c)
+    assert (shrink if row.shrinks else classify.Outcome.FIBER_COLLAPSE) \
+        is pred.outcome
+    assert row.type_one and row.y_forward == pred.forward_y_limit
+    assert row.ancient == pred.ancient_exists
+    t1, t2 = classify.SingularType.TYPE_I, classify.SingularType.TYPE_II
+    if row.ancient:
+        assert (t1 if row.ancient_type_one else t2) is pred.ancient_type
+        assert row.y_backward == pred.backward_y_limit
+    assert math.isnan(row.T)
+    k = [str(r) for r in classify.slot_regimes(es)].index(regime)
+    assert repr(YFlow(c, es).table[k].ends) == repr(row)
+
+
+def test_slot_row_of_a_homothety_and_of_unreachable_ends(fix_a):
+    # a start on a root has both ends there: the space shrinks, the flow
+    # is ancient of Type I and T = -1/f2(r).  y = 0 ends a flow of Type I
+    # only where H is finite there, and no flow ends at y = 0 where it is
+    # not: at the pole of the maximal kind or the zero of family C0
+    p = fix_a.planar
+    r = h.einstein_roots(fix_a).values[0]
+    row = slot_row(r, 1, 0, r, 1, p.b0, p.b1, p.bm2)
+    assert row == Ends(r, True, True, True, True, r,
+                       1 / (p.b0 - p.b1 * r + p.bm2 / r / r))
+    for hf in (-1, 1):
+        assert not slot_row(0.0, hf, -1, r, 1, 1.0, 1.0, 0.0).type_one
+    for name in ("FIX-C0", "FIX-D", "FIX-E", "FIX-E2", "FIX-F"):
+        c = h.derive_coeffs(h.get_space(name))
+        assert all(s.fwd for s in YFlow(c, h.einstein_roots(c)).table)
 
 
 def test_field_is_negative_at_every_einstein_direction():
@@ -392,6 +453,27 @@ def test_ends_do_not_depend_on_the_batch():
             want, back, alone = (getattr(ends, f.name) for ends in runs)
             assert want.tobytes() == back[::-1].tobytes() == \
                 alone.tobytes(), (f.name, es)
+
+
+def test_singular_time_does_not_depend_on_the_joint_level(monkeypatch):
+    # grouping levels into passes leaves T as it is, bit for bit: each
+    # level is summed over its own nodes whichever pass evaluated them
+    fixtures = [h.derive_coeffs(h.get_space(name)) for name in FIXTURES]
+    cases = [(c, h.einstein_roots(c), []) for c in fixtures]
+    cases += [(c, es, [y0]) for c, es, y0 in random_starts(29, 120)]
+    cases += list(c0_boundary_starts(29, 20))
+    runs = [(YFlow(c, es), [*y0s, *_starts_everywhere(es)])
+            for c, es, y0s in cases]
+    want = [engine.run(y0s).T.tobytes() for engine, y0s in runs]
+    try:
+        for joint in (3, 4, 6, 7):
+            monkeypatch.setattr(yflow, "JOINT_LEVEL", joint)
+            yflow._joint_nodes.cache_clear()
+            got = [engine.run(y0s).T.tobytes() for engine, y0s in runs]
+            assert got == want, joint
+    finally:
+        monkeypatch.undo()
+        yflow._joint_nodes.cache_clear()
 
 
 #: SHA-256 over every field of ``YFlow.run`` on the inputs of
